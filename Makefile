@@ -9,7 +9,7 @@ BENCH_JSONL ?= $(CURDIR)/target/criterion-run.jsonl
 # The perf-critical suites the trajectory tracks (the full figure
 # suite is minutes-scale; these cover the ingest hot path and the
 # live-service overhead).
-BENCH_SUITES = --bench pipeline_throughput --bench fleet_ingest --bench live_latency --bench policy_overhead --bench propagation_massive --bench classifier_mining
+BENCH_SUITES = --bench pipeline_throughput --bench live_latency --bench policy_overhead --bench propagation_massive --bench classifier_mining
 
 .PHONY: check fmt fmt-check build test test-release clippy doc quickstart bench bench-check \
 	bench-json bench-baseline bench-compare
@@ -48,7 +48,7 @@ quickstart:
 bench:
 	$(CARGO) bench -p bh-bench
 
-# Compile (but do not run) the 22 harness=false bench targets, so they
+# Compile (but do not run) the 21 harness=false bench targets, so they
 # cannot silently rot: clippy lints them, this proves they still link.
 bench-check:
 	$(CARGO) bench -p bh-bench --no-run

@@ -5,8 +5,8 @@
 //! [`Histogram::record`]) and two instances fed disjoint sample sets
 //! merge ([`Ecdf::merge`] / [`Histogram::merge`]) into exactly what one
 //! instance fed the union would hold — the same contract as
-//! `bh_core`'s `EventAccumulator`s, so per-shard statistics fold
-//! together losslessly.
+//! `bh_core`'s `EventAccumulator`s, so statistics over disjoint parts
+//! of a stream fold together losslessly.
 
 /// An empirical CDF over `f64` samples.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -31,8 +31,8 @@ impl Ecdf {
     ///
     /// Each push is a sorted insert — O(n) element moves — so this is
     /// for trickles of samples between reads. Bulk loads should use
-    /// [`Ecdf::new`] (sort once) and per-shard folds should build one
-    /// `Ecdf` per shard and combine with the linear-time
+    /// [`Ecdf::new`] (sort once), and folds over disjoint parts should
+    /// build one `Ecdf` per part and combine with the linear-time
     /// [`Ecdf::merge`].
     pub fn push(&mut self, x: f64) {
         if x.is_nan() {

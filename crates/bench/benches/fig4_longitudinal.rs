@@ -82,7 +82,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     // One-pass form: the same fold as an explicit mergeable accumulator
-    // (the shape each shard runs before the barrier merge).
+    // (the shape a streaming session drains into).
     c.bench_function("fig4/streaming_accumulator", |b| {
         b.iter(|| {
             let mut acc = DailySeriesAccumulator::new(

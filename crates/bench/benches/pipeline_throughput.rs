@@ -4,18 +4,16 @@
 //! slice), **streaming** (incremental push with mid-stream event
 //! draining), **streaming with inline analytics** (closed events drain
 //! straight into the AnalyticsPipeline accumulators; the full event Vec
-//! is never materialized), **sharded** (prefix-partitioned worker
-//! threads), **sharded with inline analytics** (per-shard pipelines
-//! merged at the barrier), and the **fleet ingestion** modes
-//! (materialized merge vs constant-memory merged stream vs parallel
-//! multi-reader CollectorFleet, optionally sharded). Not a paper
+//! is never materialized), and the **fleet ingestion** modes
+//! (materialized merge vs constant-memory merged stream). Not a paper
 //! artifact; these quantify the implementation itself.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_routing::archive::{mrt_round_trip, read_updates, write_updates};
-use bh_routing::{merge_streams, BgpElem, ElemSource, MergedSource, MrtElemSource, SliceSource};
+use bh_routing::{merge_streams, BgpElem, ElemSource, MrtElemSource, SliceSource};
+use bh_workloads::merged_archives;
 
 fn bench(c: &mut Criterion) {
     let study = Study::build(StudyScale::Small, 42);
@@ -62,21 +60,6 @@ fn bench(c: &mut Criterion) {
             (summary.stats.elems, report.table3.len())
         })
     });
-    // Sharded: prefix-partitioned across worker threads, deterministic
-    // merge (bit-identical to batch; see tests/pipeline_properties).
-    for shards in [2usize, 4] {
-        group.bench_function(&format!("inference_sharded{shards}"), |b| {
-            b.iter(|| study.infer_sharded(&refdata, elems, shards))
-        });
-    }
-    // Sharded with inline analytics: per-shard pipelines, merged
-    // deterministically at the barrier — no per-shard event Vec either.
-    group.bench_function("inference_sharded_analytics4", |b| {
-        b.iter(|| {
-            let (summary, report) = study.infer_sharded_analytics(&refdata, elems, analytics, 4);
-            (summary.stats.elems, report.table3.len())
-        })
-    });
     group.bench_function("mrt_write", |b| {
         b.iter(|| {
             let mut buf = Vec::with_capacity(1 << 20);
@@ -108,16 +91,13 @@ fn bench(c: &mut Criterion) {
             session.finish().events.len()
         })
     });
-    // ---- fleet ingestion modes (see also the fleet_ingest bench) -------
-    // The same per-collector archive set, ingested three ways:
+    // ---- fleet ingestion modes -------------------------------------------
+    // The same per-collector archive set, ingested two ways:
     //
     // * materialized — decode every archive into a Vec, merge_streams,
-    //   then infer (the pre-fleet shape: peak memory = whole stream);
-    // * merged-stream — one thread, k MrtElemSources under a k-way
-    //   MergedSource heap, no Vec<BgpElem> ever (constant memory);
-    // * parallel fleet — one reader thread per archive with bounded
-    //   channels + backpressure feeding the same merge (CollectorFleet),
-    //   optionally into a sharded session.
+    //   then infer (peak memory = whole stream);
+    // * merged-stream — k MrtElemSources under a k-way MergedSource heap
+    //   (`merged_archives`), no Vec<BgpElem> ever (constant memory).
     group.bench_function("fleet_materialized_merge", |b| {
         b.iter(|| {
             let streams: Vec<Vec<BgpElem>> = archives
@@ -129,19 +109,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function("fleet_merged_stream", |b| {
-        b.iter(|| {
-            let sources: Vec<_> = archives
-                .iter()
-                .map(|a| MrtElemSource::from_bytes(a.bytes.clone(), a.dataset, a.collector))
-                .collect();
-            study.infer_source(&refdata, &mut MergedSource::new(sources)).events.len()
-        })
-    });
-    group.bench_function("fleet_parallel", |b| {
-        b.iter(|| study.infer_fleet(&refdata, &archives).events.len())
-    });
-    group.bench_function("fleet_parallel_sharded4", |b| {
-        b.iter(|| study.infer_fleet_sharded(&refdata, &archives, 4).events.len())
+        b.iter(|| study.infer_source(&refdata, &mut merged_archives(&archives)).events.len())
     });
     group.finish();
 

@@ -20,13 +20,13 @@ use bh_bgp_types::time::SimTime;
 use bh_core::{
     score_events, AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, ConfusionReport,
     EngineConfig, EventAccumulator, InferenceResult, InferenceSession, ReferenceData,
-    SessionBuilder, ShardedSession, StreamSummary,
+    SessionBuilder, StreamSummary,
 };
 use bh_irr::{BlackholeDictionary, Corpus, CorpusGenerator, NegativeControls};
 use bh_routing::{deploy, BgpElem, CollectorConfig, CollectorDeployment, ElemSource, SliceSource};
 use bh_topology::{PolicyTable, Topology, TopologyBuilder, TopologyConfig};
 use bh_workloads::{
-    fleet_of, run, run_adversarial, run_with_policies, AdversarialConfig, AdversarialOutput,
+    merged_archives, run, run_adversarial, run_with_policies, AdversarialConfig, AdversarialOutput,
     CollectorArchive, ScenarioConfig, ScenarioOutput,
 };
 
@@ -169,11 +169,6 @@ impl Study {
         SessionBuilder::new(self.dict.clone(), refdata.clone())
     }
 
-    /// A sharded session over `shards` prefix-partitioned workers.
-    pub fn sharded_session(&self, refdata: &Arc<ReferenceData>, shards: usize) -> ShardedSession {
-        self.session(refdata).build_sharded(shards)
-    }
-
     /// One-shot inference over an in-memory element stream.
     pub fn infer(&self, refdata: &Arc<ReferenceData>, elems: &[BgpElem]) -> InferenceResult {
         self.infer_with_config(refdata, elems, EngineConfig::default())
@@ -191,21 +186,8 @@ impl Study {
         session.finish()
     }
 
-    /// Sharded inference over an in-memory element stream.
-    pub fn infer_sharded(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        elems: &[BgpElem],
-        shards: usize,
-    ) -> InferenceResult {
-        let mut session = self.sharded_session(refdata, shards);
-        session.ingest(&mut SliceSource::new(elems));
-        session.finish()
-    }
-
     /// One-shot inference over any element source — e.g. a
-    /// [`MergedSource`](bh_routing::MergedSource) over many archives, or
-    /// a running [`CollectorFleet`](bh_routing::CollectorFleet) stream.
+    /// [`MergedSource`](bh_routing::MergedSource) over many archives.
     pub fn infer_source<S: ElemSource + ?Sized>(
         &self,
         refdata: &Arc<ReferenceData>,
@@ -216,47 +198,21 @@ impl Study {
         session.finish()
     }
 
-    /// Sharded inference over any element source.
-    pub fn infer_sharded_source<S: ElemSource + ?Sized>(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        source: &mut S,
-        shards: usize,
-    ) -> InferenceResult {
-        let mut session = self.sharded_session(refdata, shards);
-        session.ingest(source);
-        session.finish()
-    }
-
     /// The full multi-collector historical path: per-collector MRT
-    /// archives → [`CollectorFleet`](bh_routing::CollectorFleet) (one
-    /// reader thread per archive, bounded channels) → merged stream →
-    /// one inference session. Panics if any archive fails to decode
-    /// cleanly — benches and tests want that loud.
+    /// archives → [`merged_archives`] → one inference session. Panics if
+    /// any archive fails to decode cleanly or skips a record — benches
+    /// and tests want that loud.
     pub fn infer_fleet(
         &self,
         refdata: &Arc<ReferenceData>,
         archives: &[CollectorArchive],
     ) -> InferenceResult {
-        let mut stream = fleet_of(archives).start();
+        let mut stream = merged_archives(archives);
         let result = self.infer_source(refdata, &mut stream);
-        let report = stream.finish();
-        assert!(report.is_clean(), "fleet archive error: {:?}", report.first_error());
-        result
-    }
-
-    /// The fleet path fanned out across a sharded session: N archive
-    /// readers pipelined into M prefix-partitioned inference workers.
-    pub fn infer_fleet_sharded(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        archives: &[CollectorArchive],
-        shards: usize,
-    ) -> InferenceResult {
-        let mut stream = fleet_of(archives).start();
-        let result = self.infer_sharded_source(refdata, &mut stream, shards);
-        let report = stream.finish();
-        assert!(report.is_clean(), "fleet archive error: {:?}", report.first_error());
+        for source in stream.into_sources() {
+            assert!(source.error().is_none(), "fleet archive error: {:?}", source.error());
+            assert_eq!(source.records_skipped(), 0, "fleet archive skipped records");
+        }
         result
     }
 
@@ -295,23 +251,6 @@ impl Study {
         }
         let summary = session.finish_with(&mut pipeline);
         (summary, pipeline.finalize())
-    }
-
-    /// Sharded one-pass inference and analytics: each worker streams its
-    /// closed events through its own pipeline clone; the per-shard
-    /// pipelines merge deterministically at the barrier.
-    pub fn infer_sharded_analytics(
-        &self,
-        refdata: &Arc<ReferenceData>,
-        elems: &[BgpElem],
-        config: AnalyticsConfig,
-        shards: usize,
-    ) -> (StreamSummary, AnalyticsReport) {
-        let pipeline = self.analytics_pipeline(refdata, config);
-        let mut session = self.session(refdata).build_sharded_with(shards, pipeline);
-        session.ingest(&mut SliceSource::new(elems));
-        let (summary, merged) = session.finish_parts();
-        (summary, merged.finalize())
     }
 
     /// Run a scenario and infer over its stream with ONE deployment:
@@ -467,14 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_infer_matches_batch() {
-        let study = Study::build(StudyScale::Tiny, 11);
-        let run = study.visibility_run(2, 4.0);
-        let sharded = study.infer_sharded(&run.refdata, &run.output.elems, 4);
-        assert_eq!(sharded, run.result);
-    }
-
-    #[test]
     fn run_report_matches_batch_analytics() {
         use bh_core::{daily_series, group_events, table3, table4};
 
@@ -508,7 +439,6 @@ mod tests {
         );
         let expected = study.infer(&run.refdata, &merged);
         assert_eq!(study.infer_fleet(&run.refdata, &archives), expected);
-        assert_eq!(study.infer_fleet_sharded(&run.refdata, &archives, 4), expected);
     }
 
     #[test]
@@ -518,10 +448,7 @@ mod tests {
         let (summary, report) =
             study.infer_streaming_analytics(&run.refdata, &run.output.elems, run.analytics, 512);
         assert_eq!(summary.stats, run.result.stats);
+        assert_eq!(summary.per_dataset, run.result.per_dataset);
         assert_eq!(report, run.report);
-        let (sharded_summary, sharded_report) =
-            study.infer_sharded_analytics(&run.refdata, &run.output.elems, run.analytics, 4);
-        assert_eq!(sharded_summary.per_dataset, run.result.per_dataset);
-        assert_eq!(sharded_report, run.report);
     }
 }

@@ -10,9 +10,9 @@
 //!    provider (Fig. 7(c)), where "no path" indicates community bundling.
 //!
 //! `AsPath` is a cheap handle: the segment storage lives behind an
-//! [`Arc`], so cloning a path (which the merge heap, the fleet reader
-//! threads, and the per-prefix elem fan-out all do per element) is a
-//! reference-count bump instead of a deep copy. Two derived quantities
+//! [`Arc`], so cloning a path (which the merge heap and the per-prefix
+//! elem fan-out both do per element) is a reference-count bump instead
+//! of a deep copy. Two derived quantities
 //! are memoized per allocation — the content hash (making repeated
 //! `HashMap` lookups and interning O(1) after the first) and the
 //! deprepended path (which `hop_before`/`distance_from_peer`/`hop_len`

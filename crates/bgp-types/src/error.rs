@@ -58,6 +58,15 @@ pub enum CodecError {
     },
     /// An attribute appeared twice in one UPDATE.
     DuplicateAttribute(u8),
+    /// An encoder was asked to write a length its field cannot carry.
+    TooLong {
+        /// What was being encoded.
+        what: &'static str,
+        /// The length that did not fit.
+        len: usize,
+        /// The largest length the field can carry.
+        max: usize,
+    },
 }
 
 impl CodecError {
@@ -68,6 +77,12 @@ impl CodecError {
         } else {
             Ok(())
         }
+    }
+
+    /// Helper: narrow `len` into a 2-byte length field, refusing rather
+    /// than truncating a length the field cannot carry.
+    pub fn fit_u16(what: &'static str, len: usize) -> Result<u16, CodecError> {
+        u16::try_from(len).map_err(|_| CodecError::TooLong { what, len, max: u16::MAX as usize })
     }
 }
 
@@ -85,6 +100,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::DuplicateAttribute(code) => {
                 write!(f, "duplicate path attribute with type code {code}")
+            }
+            CodecError::TooLong { what, len, max } => {
+                write!(f, "{what} too long to encode: {len} bytes, field carries at most {max}")
             }
         }
     }
@@ -115,5 +133,7 @@ mod tests {
         assert!(CodecError::BadLength { what: "nlri", value: 99 }.to_string().contains("nlri"));
         assert!(CodecError::BadValue { what: "afi", value: 7 }.to_string().contains("afi"));
         assert!(CodecError::DuplicateAttribute(8).to_string().contains('8'));
+        let too_long = CodecError::TooLong { what: "communities", len: 70_000, max: 65_535 };
+        assert!(too_long.to_string().contains("communities"));
     }
 }

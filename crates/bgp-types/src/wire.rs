@@ -16,7 +16,6 @@
 //!   how measurement pipelines must treat arbitrary archive data.
 
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -72,16 +71,18 @@ pub fn decode_nlri(buf: &mut Bytes) -> Result<Ipv4Prefix, CodecError> {
     Ok(Ipv4Prefix::from_raw(u32::from_be_bytes(octets), len))
 }
 
-fn put_attr_header(buf: &mut BytesMut, flags: u8, code: u8, len: usize) {
+fn put_attr_header(buf: &mut BytesMut, flags: u8, code: u8, len: usize) -> Result<(), CodecError> {
     if len > 255 {
+        let len = CodecError::fit_u16("path attribute", len)?;
         buf.put_u8(flags | ATTR_FLAG_EXTENDED_LEN);
         buf.put_u8(code);
-        buf.put_u16(len as u16);
+        buf.put_u16(len);
     } else {
         buf.put_u8(flags);
         buf.put_u8(code);
         buf.put_u8(len as u8);
     }
+    Ok(())
 }
 
 fn encode_as_path(path: &AsPath) -> BytesMut {
@@ -136,46 +137,48 @@ fn decode_as_path(mut body: Bytes) -> Result<AsPath, CodecError> {
 }
 
 /// Encode the path attributes section (without the leading 2-byte total
-/// length, which belongs to the UPDATE body).
-pub fn encode_attributes(attrs: &PathAttributes) -> BytesMut {
+/// length, which belongs to the UPDATE body). Fails with
+/// [`CodecError::TooLong`] if one attribute exceeds the 65,535 bytes its
+/// extended length field can carry.
+pub fn encode_attributes(attrs: &PathAttributes) -> Result<BytesMut, CodecError> {
     let mut out = BytesMut::new();
     let wk = ATTR_FLAG_TRANSITIVE; // well-known mandatory
     let opt = ATTR_FLAG_OPTIONAL | ATTR_FLAG_TRANSITIVE;
 
-    put_attr_header(&mut out, wk, type_code::ORIGIN, 1);
+    put_attr_header(&mut out, wk, type_code::ORIGIN, 1)?;
     out.put_u8(attrs.origin.code());
 
     let path = encode_as_path(&attrs.as_path);
-    put_attr_header(&mut out, wk, type_code::AS_PATH, path.len());
+    put_attr_header(&mut out, wk, type_code::AS_PATH, path.len())?;
     out.put_slice(&path);
 
     if let Some(IpAddr::V4(nh)) = attrs.next_hop {
-        put_attr_header(&mut out, wk, type_code::NEXT_HOP, 4);
+        put_attr_header(&mut out, wk, type_code::NEXT_HOP, 4)?;
         out.put_slice(&nh.octets());
     }
 
     if let Some(med) = attrs.med {
-        put_attr_header(&mut out, ATTR_FLAG_OPTIONAL, type_code::MED, 4);
+        put_attr_header(&mut out, ATTR_FLAG_OPTIONAL, type_code::MED, 4)?;
         out.put_u32(med);
     }
 
     if let Some(lp) = attrs.local_pref {
-        put_attr_header(&mut out, wk, type_code::LOCAL_PREF, 4);
+        put_attr_header(&mut out, wk, type_code::LOCAL_PREF, 4)?;
         out.put_u32(lp);
     }
 
     if attrs.atomic_aggregate {
-        put_attr_header(&mut out, wk, type_code::ATOMIC_AGGREGATE, 0);
+        put_attr_header(&mut out, wk, type_code::ATOMIC_AGGREGATE, 0)?;
     }
 
     if let Some((asn, id)) = attrs.aggregator {
-        put_attr_header(&mut out, opt, type_code::AGGREGATOR, 8);
+        put_attr_header(&mut out, opt, type_code::AGGREGATOR, 8)?;
         out.put_u32(asn.value());
         out.put_slice(&id.octets());
     }
 
     if !attrs.communities.is_empty() {
-        put_attr_header(&mut out, opt, type_code::COMMUNITIES, attrs.communities.len() * 4);
+        put_attr_header(&mut out, opt, type_code::COMMUNITIES, attrs.communities.len() * 4)?;
         for c in attrs.communities.iter() {
             out.put_u32(c.raw());
         }
@@ -183,7 +186,7 @@ pub fn encode_attributes(attrs: &PathAttributes) -> BytesMut {
 
     let ext: Vec<ExtendedCommunity> = attrs.communities.iter_extended().collect();
     if !ext.is_empty() {
-        put_attr_header(&mut out, opt, type_code::EXTENDED_COMMUNITIES, ext.len() * 8);
+        put_attr_header(&mut out, opt, type_code::EXTENDED_COMMUNITIES, ext.len() * 8)?;
         for c in ext {
             out.put_slice(&c.to_bytes());
         }
@@ -191,7 +194,7 @@ pub fn encode_attributes(attrs: &PathAttributes) -> BytesMut {
 
     let large: Vec<LargeCommunity> = attrs.communities.iter_large().collect();
     if !large.is_empty() {
-        put_attr_header(&mut out, opt, type_code::LARGE_COMMUNITIES, large.len() * 12);
+        put_attr_header(&mut out, opt, type_code::LARGE_COMMUNITIES, large.len() * 12)?;
         for c in large {
             out.put_u32(c.global_admin);
             out.put_u32(c.local_1);
@@ -199,7 +202,7 @@ pub fn encode_attributes(attrs: &PathAttributes) -> BytesMut {
         }
     }
 
-    out
+    Ok(out)
 }
 
 /// Decode a path attributes section.
@@ -358,24 +361,14 @@ impl AttrCache {
     }
 }
 
-/// An [`AttrCache`] shared by several readers — typically one per
-/// collector archive of the same fleet. Collectors overwhelmingly carry
-/// the same attribute blocks (the same paths reach every vantage point),
-/// so a fleet-wide cache decodes each distinct block once and every
-/// reader's elements alias the same Arc-backed values. Readers lock only
-/// for the duration of one block probe; share across threads with care
-/// (parallel decoders serialize on it — per-reader caches are better
-/// there).
-pub type SharedAttrCache = Arc<Mutex<AttrCache>>;
-
-/// A fresh, empty [`SharedAttrCache`].
-pub fn shared_attr_cache() -> SharedAttrCache {
-    Arc::new(Mutex::new(AttrCache::new()))
-}
-
 /// Encode a full BGP UPDATE *message* (header + body) for the IPv4 routes
 /// of `update`. IPv6 routes are ignored by this wire path (see module docs).
-pub fn encode_update_message(update: &BgpUpdate) -> BytesMut {
+///
+/// Fails with [`CodecError::TooLong`] when the withdrawn routes, the path
+/// attributes or the whole message exceed the 65,535 bytes their 2-byte
+/// length fields can carry. Note that [`decode_update_message`] accepts
+/// at most [`BGP_MAX_MESSAGE_LEN`] bytes.
+pub fn encode_update_message(update: &BgpUpdate) -> Result<BytesMut, CodecError> {
     let mut body = BytesMut::new();
 
     // Withdrawn routes.
@@ -383,13 +376,13 @@ pub fn encode_update_message(update: &BgpUpdate) -> BytesMut {
     for p in update.withdrawn_v4() {
         encode_nlri(&mut withdrawn, p);
     }
-    body.put_u16(withdrawn.len() as u16);
+    body.put_u16(CodecError::fit_u16("withdrawn routes", withdrawn.len())?);
     body.put_slice(&withdrawn);
 
     // Path attributes (only when there are announcements).
     if update.announced_v4().next().is_some() {
-        let attrs = encode_attributes(&update.attrs);
-        body.put_u16(attrs.len() as u16);
+        let attrs = encode_attributes(&update.attrs)?;
+        body.put_u16(CodecError::fit_u16("path attributes", attrs.len())?);
         body.put_slice(&attrs);
         for p in update.announced_v4() {
             encode_nlri(&mut body, p);
@@ -398,12 +391,13 @@ pub fn encode_update_message(update: &BgpUpdate) -> BytesMut {
         body.put_u16(0);
     }
 
+    let len = CodecError::fit_u16("bgp message", BGP_HEADER_LEN + body.len())?;
     let mut msg = BytesMut::with_capacity(BGP_HEADER_LEN + body.len());
     msg.put_slice(&[0xFF; 16]); // marker
-    msg.put_u16((BGP_HEADER_LEN + body.len()) as u16);
+    msg.put_u16(len);
     msg.put_u8(msg_type::UPDATE);
     msg.put_slice(&body);
-    msg
+    Ok(msg)
 }
 
 /// Decode a full BGP UPDATE message (header + body) back into a
@@ -531,7 +525,7 @@ mod tests {
     #[test]
     fn attributes_round_trip() {
         let attrs = sample_attrs();
-        let encoded = encode_attributes(&attrs).freeze();
+        let encoded = encode_attributes(&attrs).unwrap().freeze();
         let decoded = decode_attributes(encoded).unwrap();
         assert_eq!(decoded, attrs);
     }
@@ -539,7 +533,7 @@ mod tests {
     #[test]
     fn attributes_reject_duplicates() {
         let attrs = PathAttributes::default();
-        let mut encoded = encode_attributes(&attrs);
+        let mut encoded = encode_attributes(&attrs).unwrap();
         let copy = encoded.clone();
         encoded.put_slice(&copy); // every attribute duplicated
         assert!(matches!(
@@ -550,7 +544,7 @@ mod tests {
 
     #[test]
     fn unknown_attributes_are_skipped() {
-        let mut encoded = encode_attributes(&PathAttributes::default());
+        let mut encoded = encode_attributes(&PathAttributes::default()).unwrap();
         // Append an unknown optional-transitive attribute (code 200).
         encoded.put_u8(0xC0);
         encoded.put_u8(200);
@@ -565,7 +559,7 @@ mod tests {
         let mut path = AsPath::from_sequence(vec![Asn::new(64500)]);
         path.prepend(Asn::new(3356), 300); // forces 255-ASN chunk split
         let attrs = PathAttributes { as_path: path.clone(), ..Default::default() };
-        let decoded = decode_attributes(encode_attributes(&attrs).freeze()).unwrap();
+        let decoded = decode_attributes(encode_attributes(&attrs).unwrap().freeze()).unwrap();
         assert_eq!(decoded.as_path.asns(), path.asns());
         assert_eq!(decoded.as_path.without_prepending().to_string(), "3356 64500");
     }
@@ -576,7 +570,7 @@ mod tests {
         update.announce_v4("130.149.1.1/32".parse().unwrap());
         update.announce_v4("192.0.2.0/24".parse().unwrap());
         update.withdraw_v4("198.51.100.0/24".parse().unwrap());
-        let encoded = encode_update_message(&update).freeze();
+        let encoded = encode_update_message(&update).unwrap().freeze();
         let decoded = decode_update_message(encoded).unwrap().unwrap();
         assert_eq!(decoded, update);
     }
@@ -585,7 +579,7 @@ mod tests {
     fn withdrawal_only_update_round_trip() {
         let mut update = BgpUpdate::new(PathAttributes::default());
         update.withdraw_v4("130.149.1.1/32".parse().unwrap());
-        let encoded = encode_update_message(&update).freeze();
+        let encoded = encode_update_message(&update).unwrap().freeze();
         let decoded = decode_update_message(encoded).unwrap().unwrap();
         assert_eq!(decoded.withdrawn_v4().count(), 1);
         assert_eq!(decoded.announced_v4().count(), 0);
@@ -595,7 +589,7 @@ mod tests {
     fn attr_cache_decodes_identically_and_shares_allocations() {
         let mut update = BgpUpdate::new(sample_attrs());
         update.announce_v4("192.0.2.0/24".parse().unwrap());
-        let encoded = encode_update_message(&update).freeze();
+        let encoded = encode_update_message(&update).unwrap().freeze();
 
         let mut cache = AttrCache::new();
         let first =
@@ -620,11 +614,75 @@ mod tests {
         let mut cache = AttrCache::new();
         for i in 0..(ATTR_CACHE_CAP + 10) {
             let attrs = PathAttributes { med: Some(i as u32), ..Default::default() };
-            let raw = encode_attributes(&attrs).freeze();
+            let raw = encode_attributes(&attrs).unwrap().freeze();
             assert_eq!(cache.decode(raw).unwrap(), attrs);
         }
         assert!(cache.len() <= ATTR_CACHE_CAP, "cache exceeded its cap");
         assert_eq!(cache.hits(), 0);
+    }
+
+    /// An attribute block of `n` classic communities.
+    fn with_communities(n: u32) -> PathAttributes {
+        PathAttributes {
+            as_path: "64500".parse().unwrap(),
+            communities: CommunitySet::from_classic((0..n).map(Community).collect()),
+            ..Default::default()
+        }
+    }
+
+    /// A withdrawal-only UPDATE whose encoded message is exactly `len`
+    /// bytes: 23 bytes of framing, host routes of 5 bytes each, and one
+    /// shorter prefix (1–5 bytes) making up the rest.
+    fn withdrawals_of_message_len(len: usize) -> BgpUpdate {
+        let nlri = len - BGP_HEADER_LEN - 4;
+        let hosts = (nlri - 1) / 5;
+        let rest = nlri - hosts * 5;
+        let mut update = BgpUpdate::new(PathAttributes::default());
+        for k in 0..hosts as u32 {
+            update.withdraw_v4(Ipv4Prefix::from_raw(0x0A00_0000 + k, 32));
+        }
+        update.withdraw_v4(Ipv4Prefix::from_raw(0xC000_0200, (rest as u8 - 1) * 8));
+        update
+    }
+
+    #[test]
+    fn attribute_length_field_carries_65535_and_refuses_65536() {
+        let mut buf = BytesMut::new();
+        put_attr_header(&mut buf, 0, type_code::COMMUNITIES, 65_535).unwrap();
+        assert_eq!(&buf[2..], &[0xFF, 0xFF]);
+        assert_eq!(
+            put_attr_header(&mut buf, 0, type_code::COMMUNITIES, 65_536),
+            Err(CodecError::TooLong { what: "path attribute", len: 65_536, max: 65_535 })
+        );
+    }
+
+    #[test]
+    fn largest_communities_attribute_round_trips_and_one_more_is_refused() {
+        // 16,383 communities fill 65,532 bytes, the largest multiple of 4
+        // the extended length field carries; one more needs 65,536.
+        let fits = with_communities(16_383);
+        let decoded = decode_attributes(encode_attributes(&fits).unwrap().freeze()).unwrap();
+        assert_eq!(decoded, fits);
+        assert_eq!(
+            encode_attributes(&with_communities(16_384)),
+            Err(CodecError::TooLong { what: "path attribute", len: 65_536, max: 65_535 })
+        );
+    }
+
+    #[test]
+    fn update_message_length_field_carries_65535_and_refuses_65536() {
+        let fits = encode_update_message(&withdrawals_of_message_len(65_535)).unwrap();
+        assert_eq!(fits.len(), 65_535);
+        assert_eq!(u16::from_be_bytes([fits[16], fits[17]]), u16::MAX);
+        assert_eq!(
+            encode_update_message(&withdrawals_of_message_len(65_536)),
+            Err(CodecError::TooLong { what: "bgp message", len: 65_536, max: 65_535 })
+        );
+        // A withdrawn-routes section past its own 2-byte field.
+        assert_eq!(
+            encode_update_message(&withdrawals_of_message_len(65_536 + BGP_HEADER_LEN + 4)),
+            Err(CodecError::TooLong { what: "withdrawn routes", len: 65_536, max: 65_535 })
+        );
     }
 
     #[test]
@@ -640,7 +698,7 @@ mod tests {
     fn bad_marker_rejected() {
         let mut update = BgpUpdate::new(PathAttributes::default());
         update.withdraw_v4("10.0.0.0/8".parse().unwrap());
-        let mut encoded = encode_update_message(&update);
+        let mut encoded = encode_update_message(&update).unwrap();
         encoded[0] = 0x00;
         assert!(decode_update_message(encoded.freeze()).is_err());
     }
@@ -649,7 +707,7 @@ mod tests {
     fn truncated_message_rejected() {
         let mut update = BgpUpdate::new(sample_attrs());
         update.announce_v4("130.149.1.1/32".parse().unwrap());
-        let encoded = encode_update_message(&update).freeze();
+        let encoded = encode_update_message(&update).unwrap().freeze();
         for cut in [1, BGP_HEADER_LEN - 1, BGP_HEADER_LEN + 1, encoded.len() - 1] {
             let slice = encoded.slice(..cut);
             assert!(decode_update_message(slice).is_err(), "cut at {cut}");

@@ -132,7 +132,7 @@ proptest! {
 
     #[test]
     fn attributes_wire_round_trip(attrs in arb_attrs()) {
-        let encoded = wire::encode_attributes(&attrs).freeze();
+        let encoded = wire::encode_attributes(&attrs).unwrap().freeze();
         let decoded = wire::decode_attributes(encoded).unwrap();
         prop_assert_eq!(attrs, decoded);
     }
@@ -150,7 +150,7 @@ proptest! {
         for p in &withdrawn {
             update.withdraw_v4(*p);
         }
-        let encoded = wire::encode_update_message(&update).freeze();
+        let encoded = wire::encode_update_message(&update).unwrap().freeze();
         let decoded = wire::decode_update_message(encoded).unwrap().unwrap();
         prop_assert_eq!(update, decoded);
     }
@@ -221,7 +221,7 @@ proptest! {
             AsPathSegment::Set(set.iter().map(|&a| Asn::new(a)).collect()),
         ]);
         let attrs = PathAttributes { as_path: path.clone(), ..Default::default() };
-        let decoded = wire::decode_attributes(wire::encode_attributes(&attrs).freeze()).unwrap();
+        let decoded = wire::decode_attributes(wire::encode_attributes(&attrs).unwrap().freeze()).unwrap();
         prop_assert_eq!(decoded.as_path.segments(), path.segments());
     }
 }

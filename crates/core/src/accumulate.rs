@@ -13,9 +13,9 @@
 //! * `observe` is **order-insensitive**: any permutation of the same
 //!   event multiset finalizes to the same output.
 //! * `merge` is **associative and commutative** (a property test in
-//!   `tests/tests/analytics_streaming.rs` asserts this), so per-shard
-//!   accumulators can be folded in any grouping at the
-//!   [`ShardedSession`](crate::ShardedSession) barrier.
+//!   `tests/tests/analytics_streaming.rs` asserts this), so
+//!   accumulators fed disjoint parts of a stream can be folded in any
+//!   grouping.
 //! * `finalize` of a streamed/merged accumulator is **equal** to the
 //!   batch function over the materialized event list — the batch
 //!   functions in [`analytics`](crate::analytics) and
@@ -81,8 +81,8 @@ pub trait EventAccumulator {
 ///
 /// This is what makes the event list itself "just another metric": a
 /// plain [`InferenceSession::finish`](crate::InferenceSession::finish)
-/// and the sharded runner both stream into an `EventCollector` and
-/// restore the canonical `(start, prefix)` order at `finalize`.
+/// streams into an `EventCollector` and restores the canonical
+/// `(start, prefix)` order at `finalize`.
 #[derive(Debug, Clone, Default)]
 pub struct EventCollector {
     events: Vec<BlackholeEvent>,
@@ -116,7 +116,7 @@ impl EventAccumulator for EventCollector {
     }
 
     /// The collected events in canonical `(start, prefix)` order — the
-    /// exact order a single-threaded batch run produces.
+    /// exact order a batch run produces.
     fn finalize(mut self) -> Vec<BlackholeEvent> {
         self.events.sort_by_key(|e| (e.start, e.prefix));
         self.events
@@ -184,11 +184,9 @@ pub struct AnalyticsReport {
 /// Multiplexes one event stream into every paper-metric accumulator.
 ///
 /// Feed it via [`EventAccumulator::observe`] (it is itself an
-/// accumulator), via
+/// accumulator) or via
 /// [`InferenceSession::drain_closed_into`](crate::InferenceSession::drain_closed_into)
-/// mid-stream, or per shard through
-/// [`SessionBuilder::build_sharded_with`](crate::SessionBuilder::build_sharded_with);
-/// per-shard pipelines merge deterministically at the barrier.
+/// mid-stream.
 #[derive(Debug, Clone)]
 pub struct AnalyticsPipeline {
     visibility: VisibilityAccumulator,

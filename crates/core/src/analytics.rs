@@ -7,8 +7,6 @@
 //! that fold a materialized event slice through the same accumulator.
 //! Accumulators can instead be fed incrementally — from
 //! [`InferenceSession::drain_closed_into`](crate::InferenceSession::drain_closed_into)
-//! or per shard via
-//! [`SessionBuilder::build_sharded_with`](crate::SessionBuilder::build_sharded_with)
 //! — and produce identical output (see
 //! `tests/tests/analytics_streaming.rs`).
 

@@ -21,7 +21,7 @@
 //!
 //! [`ConfusionAccumulator`] implements [`EventAccumulator`], so scoring
 //! streams through the same one-pass machinery as every paper metric
-//! (and merges across shards); [`score_events`] is the batch wrapper.
+//! (and merges like one); [`score_events`] is the batch wrapper.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -189,7 +189,8 @@ impl fmt::Display for ConfusionReport {
 ///
 /// Merge semantics: two accumulators built over the *same* labels and
 /// fed disjoint event streams merge by OR-ing per-label matches and
-/// summing the false-positive counts — the sharded-session contract.
+/// summing the false-positive counts — the [`EventAccumulator`] merge
+/// law.
 #[derive(Debug, Clone)]
 pub struct ConfusionAccumulator {
     scenario: String,

@@ -154,7 +154,7 @@ pub fn group_events(events: &[BlackholeEvent], timeout: SimDuration) -> Vec<Blac
 /// timeout), coalescing each incoming event interval with every period
 /// it overlaps or comes within the timeout of. Gap-tolerant interval
 /// coalescing is associative and commutative, so events may arrive in
-/// any order — including split across shards and merged — and the
+/// any order — including split into parts and merged — and the
 /// finalized periods equal the sorted-sweep batch grouping exactly.
 #[derive(Debug, Clone)]
 pub struct PeriodAccumulator {

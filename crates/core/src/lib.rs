@@ -26,8 +26,7 @@
 //!    is a mergeable one-pass [`accumulate::EventAccumulator`]; the
 //!    batch functions are thin wrappers, and the
 //!    [`accumulate::AnalyticsPipeline`] multiplexes one event stream
-//!    into all of them — from `drain_closed_into` mid-stream or per
-//!    shard with a deterministic merge at the barrier.
+//!    into all of them, fed from `drain_closed_into` mid-stream.
 //! 4. **Reference data** ([`refdata`]): the *public* metadata the
 //!    methodology is allowed to consult (PeeringDB LANs and route
 //!    servers, PeeringDB/CAIDA classification, RIR countries, collector
@@ -38,9 +37,8 @@
 //! [`session::InferenceSession`] (dictionary/reference data behind
 //! `Arc`), elements arrive via `push` or from any
 //! [`bh_routing::ElemSource`] — the live simulator, an in-memory slice,
-//! or a constant-memory MRT archive reader — and
-//! [`shard::ShardedSession`] hash-partitions the stream by prefix across
-//! worker threads with a deterministic, bit-identical merge.
+//! or a constant-memory MRT archive reader — on one thread, in the
+//! stream's time order.
 
 pub mod accumulate;
 pub mod analytics;
@@ -48,7 +46,6 @@ pub mod confusion;
 pub mod events;
 pub mod refdata;
 pub mod session;
-pub mod shard;
 
 pub use accumulate::{
     AnalyticsConfig, AnalyticsPipeline, AnalyticsReport, EventAccumulator, EventCollector,
@@ -73,7 +70,6 @@ pub use session::{
     DatasetVisibility, Detection, EngineConfig, EngineStats, InferenceResult, InferenceSession,
     SessionBuilder, SessionCheckpoint, StreamSummary,
 };
-pub use shard::ShardedSession;
 
 /// Everything a pipeline consumer needs, in one import:
 /// `use bh_core::prelude::*;`.
@@ -101,5 +97,4 @@ pub mod prelude {
         DatasetVisibility, Detection, EngineConfig, EngineStats, InferenceResult, InferenceSession,
         SessionBuilder, SessionCheckpoint, StreamSummary,
     };
-    pub use crate::shard::ShardedSession;
 }

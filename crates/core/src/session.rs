@@ -21,13 +21,12 @@
 //! sessions are `Send` and outlive no borrow). Elements arrive one at a
 //! time via [`InferenceSession::push`] — or from any
 //! [`ElemSource`] via [`InferenceSession::ingest`], including a
-//! [`MergedSource`](bh_routing::MergedSource) or a parallel
-//! [`CollectorFleet`](bh_routing::CollectorFleet) stream merging a whole
+//! [`MergedSource`](bh_routing::MergedSource) merging a whole
 //! multi-collector archive set — and finished events can be handed to
 //! consumers mid-stream with [`InferenceSession::drain_closed`].
 //! [`InferenceSession::checkpoint`] snapshots the mutable state so a
 //! long-running scan can be suspended and resumed
-//! ([`SessionBuilder::resume`]) — including mid-fleet, since the fleet
+//! ([`SessionBuilder::resume`]) — including mid-merge, since the merged
 //! stream is just another source.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,7 +46,6 @@ use bh_routing::{BgpElem, DataSource, ElemSource, ElemType, PeerKey};
 use crate::accumulate::{EventAccumulator, EventCollector};
 use crate::events::{BlackholeEvent, DetectionDistance, ProviderId};
 use crate::refdata::ReferenceData;
-use crate::shard::ShardedSession;
 
 /// One provider detection extracted from a single announcement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,20 +85,6 @@ pub struct EngineStats {
     pub control_suppressed: u64,
 }
 
-impl EngineStats {
-    /// Fold another session's counters into this one (shard merging).
-    pub fn merge(&mut self, other: EngineStats) {
-        self.elems += other.elems;
-        self.tagged_announcements += other.tagged_announcements;
-        self.cleaned += other.cleaned;
-        self.ambiguous_unresolved += other.ambiguous_unresolved;
-        self.implicit_withdrawals += other.implicit_withdrawals;
-        self.explicit_withdrawals += other.explicit_withdrawals;
-        self.bundled_detections += other.bundled_detections;
-        self.control_suppressed += other.control_suppressed;
-    }
-}
-
 /// Per-dataset visibility accumulators (Table 3 inputs).
 ///
 /// Hash-backed sets: one membership insert runs per *tagged
@@ -118,7 +102,8 @@ pub struct DatasetVisibility {
 }
 
 impl DatasetVisibility {
-    /// Union another accumulator into this one (shard merging).
+    /// Union another accumulator into this one (the
+    /// [`VisibilityAccumulator`](crate::VisibilityAccumulator) fold).
     pub fn merge(&mut self, other: &DatasetVisibility) {
         self.providers.extend(other.providers.iter().copied());
         self.users.extend(other.users.iter().copied());
@@ -163,10 +148,10 @@ fn detection_hops(distance_from_peer: usize) -> DetectionDistance {
     DetectionDistance::Hops(u8::try_from(distance_from_peer.saturating_add(1)).unwrap_or(u8::MAX))
 }
 
-/// Builds [`InferenceSession`]s (and their sharded parallel variant).
+/// Builds [`InferenceSession`]s.
 ///
 /// The dictionary and reference data travel behind [`Arc`]: one snapshot
-/// is shared by every session and shard worker, with no lifetime tie
+/// is shared by every session built from it, with no lifetime tie
 /// between the session and its inputs.
 #[derive(Clone)]
 pub struct SessionBuilder {
@@ -213,7 +198,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Build a fresh single-threaded session.
+    /// Build a fresh session.
     pub fn build(self) -> InferenceSession {
         InferenceSession {
             dict: self.dict,
@@ -235,24 +220,6 @@ impl SessionBuilder {
         let mut session = self.config(checkpoint.config).build();
         session.state = checkpoint.state;
         session
-    }
-
-    /// Build a [`ShardedSession`] that hash-partitions the element
-    /// stream by prefix across `shards` worker threads.
-    pub fn build_sharded(self, shards: usize) -> ShardedSession {
-        ShardedSession::spawn(self, shards, EventCollector::default())
-    }
-
-    /// Build a sharded session whose workers stream their closed events
-    /// through a clone of `accumulator` as they go — inline analytics
-    /// with no per-shard event `Vec`. The per-shard accumulators are
-    /// merged deterministically at the
-    /// [`finish_parts`](ShardedSession::finish_parts) barrier.
-    pub fn build_sharded_with<A>(self, shards: usize, accumulator: A) -> ShardedSession<A>
-    where
-        A: EventAccumulator + Clone + Send + 'static,
-    {
-        ShardedSession::spawn(self, shards, accumulator)
     }
 }
 
@@ -283,7 +250,7 @@ struct SessionState {
     // Census tallies deferred per (set, length-bucket): one counter
     // bump per announcement here, replayed in bulk into the BTree-backed
     // census whenever it is actually read. Replay is commutative, so
-    // flush order (and sharding) cannot perturb the result.
+    // flush order cannot perturb the result.
     census_pending: FxHashMap<(CommunitySetId, u8), u64>,
     // Memoized §4.2 detection outcomes. Detection is a pure function of
     // (community set, AS path, peer) under the session's fixed
@@ -796,37 +763,10 @@ pub struct StreamSummary {
     /// Per-dataset visibility (Table 3 inputs).
     pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
     /// Every distinct AS path the session observed, interned. Compares
-    /// as a *set* (id assignment order is a sharding artifact).
+    /// as a *set* (id assignment order is an artifact of arrival order).
     pub paths: PathTable,
     /// Every distinct community set the session observed, interned.
     pub community_sets: CommunitySetTable,
-}
-
-impl StreamSummary {
-    /// An empty summary (the merge identity).
-    pub fn empty() -> Self {
-        StreamSummary {
-            census: CommunityPrefixCensus::new(),
-            stats: EngineStats::default(),
-            per_dataset: BTreeMap::new(),
-            paths: PathTable::new(),
-            community_sets: CommunitySetTable::new(),
-        }
-    }
-
-    /// Fold another summary in: census/stats/visibility all merge
-    /// commutatively (the shard barrier's summary half), and the intern
-    /// tables absorb the other side's values — ids already handed out by
-    /// `self` stay stable, new values get fresh ids.
-    pub fn merge(&mut self, other: StreamSummary) {
-        self.census.merge(&other.census);
-        self.stats.merge(other.stats);
-        for (dataset, vis) in &other.per_dataset {
-            self.per_dataset.entry(*dataset).or_default().merge(vis);
-        }
-        self.paths.absorb(&other.paths);
-        self.community_sets.absorb(&other.community_sets);
-    }
 }
 
 /// Everything a session produced.
@@ -840,38 +780,6 @@ pub struct InferenceResult {
     pub stats: EngineStats,
     /// Per-dataset visibility (Table 3 inputs).
     pub per_dataset: BTreeMap<DataSource, DatasetVisibility>,
-}
-
-impl InferenceResult {
-    /// Fold another result into this one: events concatenate and
-    /// re-sort canonically via the [`EventCollector`], the summary
-    /// halves merge commutatively via [`StreamSummary::merge`] — so
-    /// shard-merge semantics live in exactly one place each.
-    pub fn merge(&mut self, other: InferenceResult) {
-        let mut collector = EventCollector::default();
-        for event in std::mem::take(&mut self.events) {
-            collector.observe_owned(event);
-        }
-        for event in other.events {
-            collector.observe_owned(event);
-        }
-        let mut summary = StreamSummary {
-            census: std::mem::take(&mut self.census),
-            stats: self.stats,
-            per_dataset: std::mem::take(&mut self.per_dataset),
-            ..StreamSummary::empty()
-        };
-        summary.merge(StreamSummary {
-            census: other.census,
-            stats: other.stats,
-            per_dataset: other.per_dataset,
-            ..StreamSummary::empty()
-        });
-        self.events = collector.finalize();
-        self.census = summary.census;
-        self.stats = summary.stats;
-        self.per_dataset = summary.per_dataset;
-    }
 }
 
 #[cfg(test)]
@@ -1028,14 +936,6 @@ mod tests {
         let summary = session.finish_with(&mut EventCollector::default());
         assert_eq!(summary.paths.len(), 2);
         assert_eq!(summary.community_sets.len(), 2);
-
-        // Merging two summaries with overlapping tables keeps existing
-        // ids stable and dedups: the merged table is the set union.
-        let mut merged = StreamSummary::empty();
-        merged.merge(summary.clone());
-        merged.merge(summary);
-        assert_eq!(merged.paths.len(), 2);
-        assert_eq!(merged.community_sets.len(), 2);
     }
 
     #[test]
@@ -1427,35 +1327,6 @@ mod tests {
         let result = resumed.finish();
         assert_eq!(result.events.len(), 1);
         assert_eq!(result.events[0].end, Some(SimTime::from_unix(150)));
-    }
-
-    #[test]
-    fn result_merge_equals_one_session_over_prefix_disjoint_streams() {
-        let s = setup();
-        // Two prefix-disjoint streams (the shard-partition property).
-        let elems_a = vec![
-            announce("9.9.9.9/32", 100, "100 64777 64999", vec![s.community], 100),
-            withdraw("9.9.9.9/32", 160, 100),
-        ];
-        let elems_b = vec![announce("8.8.8.8/32", 120, "100 64777 64999", vec![s.community], 100)];
-
-        let mut combined = s.session();
-        for e in elems_a.iter().chain(&elems_b) {
-            combined.push(e);
-        }
-        let expected = combined.finish();
-
-        let mut session_a = s.session();
-        for e in &elems_a {
-            session_a.push(e);
-        }
-        let mut merged = session_a.finish();
-        let mut session_b = s.session();
-        for e in &elems_b {
-            session_b.push(e);
-        }
-        merged.merge(session_b.finish());
-        assert_eq!(merged, expected);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! One [`step`](LiveFleet::step) = drain everything the watermark-gated
 //! merge proves safe, push it through the session, emit newly closed
 //! events (sequence-numbered, latency-stamped), and checkpoint when due.
-//! The daemon is single-threaded by design: a single
-//! [`InferenceSession`] closes events in deterministic stream order,
-//! which is what makes sequence numbers stable across a kill/resume —
-//! the sharded session cannot drain or checkpoint mid-stream, so the
-//! live path trades its parallelism for exactly-once event semantics.
+//! The daemon runs one [`InferenceSession`], which closes events in
+//! deterministic stream order: that is what makes sequence numbers
+//! stable across a kill/resume, and so gives exactly-once event
+//! semantics.
 
 use std::sync::{Arc, RwLock};
 
@@ -384,7 +383,7 @@ impl EventAccumulator for SequencingTee<'_> {
     }
 
     fn merge(&mut self, _other: Self) {
-        unreachable!("the finish tee never runs sharded");
+        unreachable!("the finish tee is never split and merged");
     }
 
     fn finalize(self) {}

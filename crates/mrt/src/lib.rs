@@ -27,7 +27,7 @@ pub mod record;
 pub mod tail;
 pub mod write;
 
-pub use bh_bgp_types::wire::{shared_attr_cache, AttrCache, SharedAttrCache};
+pub use bh_bgp_types::wire::AttrCache;
 pub use read::{MessageStream, MrtBytesReader, MrtReader, ReadMode};
 pub use record::{
     Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtRecord, MrtRecordBody, PeerEntry,

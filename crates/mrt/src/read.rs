@@ -8,7 +8,7 @@ use bytes::{Buf, Bytes};
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::error::CodecError;
 use bh_bgp_types::time::SimTime;
-use bh_bgp_types::wire::{self, AttrCache, SharedAttrCache};
+use bh_bgp_types::wire::{self, AttrCache};
 
 use crate::record::{
     bgp4mp_subtype, mrt_type, td2_subtype, Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError,
@@ -242,14 +242,7 @@ pub struct MrtBytesReader {
     records_read: u64,
     records_skipped: u64,
     finished: bool,
-    cache: CacheSlot,
-}
-
-/// The reader's attribute-block memo: its own table, or a handle shared
-/// with sibling readers (one fleet-wide decode per distinct block).
-enum CacheSlot {
-    Owned(AttrCache),
-    Shared(SharedAttrCache),
+    cache: AttrCache,
 }
 
 impl MrtBytesReader {
@@ -261,21 +254,13 @@ impl MrtBytesReader {
             records_read: 0,
             records_skipped: 0,
             finished: false,
-            cache: CacheSlot::Owned(AttrCache::new()),
+            cache: AttrCache::new(),
         }
     }
 
     /// Tolerant reader (skips undecodable payloads).
     pub fn tolerant(archive: impl Into<Bytes>) -> Self {
         MrtBytesReader { mode: ReadMode::Tolerant, ..Self::new(archive) }
-    }
-
-    /// Strict reader whose attribute-block memo is `cache`, shared with
-    /// other readers of the same fleet: a block already decoded by any
-    /// sibling is served from the shared table, so every collector's
-    /// copy of the same path aliases one allocation.
-    pub fn with_shared_cache(archive: impl Into<Bytes>, cache: SharedAttrCache) -> Self {
-        MrtBytesReader { cache: CacheSlot::Shared(cache), ..Self::new(archive) }
     }
 
     /// Records successfully decoded so far.
@@ -294,18 +279,8 @@ impl MrtBytesReader {
     }
 
     /// The attribute-block memo table (hit/miss counters for diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a [`MrtBytesReader::with_shared_cache`] reader — inspect
-    /// the shared handle itself instead.
     pub fn attr_cache(&self) -> &AttrCache {
-        match &self.cache {
-            CacheSlot::Owned(cache) => cache,
-            CacheSlot::Shared(_) => {
-                panic!("attr_cache(): reader uses a shared cache; inspect the shared handle")
-            }
-        }
+        &self.cache
     }
 
     /// Slice the 12-byte common header off the buffer; `Ok(None)` at clean
@@ -367,17 +342,7 @@ impl MrtBytesReader {
                 return Ok(None);
             };
             let body = self.read_body(len)?;
-            let decoded = match &mut self.cache {
-                CacheSlot::Owned(cache) => decode_body(ty, subtype, body, Some(cache)),
-                CacheSlot::Shared(cache) => {
-                    // A poisoned lock only means a sibling reader panicked
-                    // mid-probe; the memo table itself stays coherent
-                    // (probes are read-or-insert, never partial writes).
-                    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-                    decode_body(ty, subtype, body, Some(&mut guard))
-                }
-            };
-            match decoded {
+            match decode_body(ty, subtype, body, Some(&mut self.cache)) {
                 Ok(body) => {
                     self.records_read += 1;
                     return Ok(Some(MrtRecord { timestamp, body }));

@@ -12,9 +12,7 @@ use std::net::IpAddr;
 use bh_bgp_types::attrs::PathAttributes;
 use bh_bgp_types::time::SimTime;
 use bh_bgp_types::update::BgpUpdate;
-use bh_mrt::{
-    Bgp4mpMessage, MessageStream, MrtBytesReader, MrtError, MrtReader, MrtWriter, SharedAttrCache,
-};
+use bh_mrt::{Bgp4mpMessage, MessageStream, MrtBytesReader, MrtError, MrtReader, MrtWriter};
 use bytes::Bytes;
 
 use crate::elem::{BgpElem, DataSource, ElemType};
@@ -139,19 +137,6 @@ impl MrtElemSource<MrtBytesReader> {
         Self::from_reader(MrtBytesReader::new(archive), dataset, collector)
     }
 
-    /// Strict zero-copy source whose attribute-block memo is shared with
-    /// sibling sources (see [`MrtBytesReader::with_shared_cache`]): a
-    /// fleet of collector archives decodes each distinct block once, and
-    /// every collector's copy aliases the same Arc-backed attributes.
-    pub fn from_bytes_shared(
-        archive: impl Into<Bytes>,
-        dataset: DataSource,
-        collector: u16,
-        cache: SharedAttrCache,
-    ) -> Self {
-        Self::from_reader(MrtBytesReader::with_shared_cache(archive, cache), dataset, collector)
-    }
-
     /// Tolerant zero-copy source (skips undecodable payloads).
     pub fn from_bytes_tolerant(
         archive: impl Into<Bytes>,
@@ -185,7 +170,7 @@ impl<M: MessageStream> MrtElemSource<M> {
         self.error.take()
     }
 
-    /// MRT records decoded so far (fleet accounting).
+    /// MRT records decoded so far (per-archive accounting).
     pub fn records_read(&self) -> u64 {
         self.reader.records_read()
     }
@@ -281,8 +266,7 @@ pub fn split_by_collector(elems: &[BgpElem]) -> BTreeMap<(DataSource, u16), Vec<
 ///
 /// This flatten-and-stable-sort is the *specification* of the merge
 /// order: [`MergedSource`](crate::merge::MergedSource) reproduces it
-/// one element at a time (and a
-/// [`CollectorFleet`](crate::fleet::CollectorFleet) in parallel), which
+/// one element at a time, which
 /// the golden-equivalence property tests in `tests/` prove against this
 /// independent implementation. Materializing callers keep this
 /// zero-clone shape; streaming consumers should use the sources and

@@ -346,23 +346,6 @@ impl RunStats {
     pub fn total_import_rejects(&self) -> u64 {
         self.import_rejects.values().sum()
     }
-
-    /// Fold another run's counters into this one (the phased engine
-    /// accounts per parallel unit, then absorbs in deterministic order).
-    pub fn absorb(&mut self, other: RunStats) {
-        for (reason, n) in other.import_rejects {
-            *self.import_rejects.entry(reason).or_insert(0) += n;
-        }
-        for (reason, n) in other.trigger_rejects {
-            *self.trigger_rejects.entry(reason).or_insert(0) += n;
-        }
-        for (name, n) in other.extension_rejects {
-            *self.extension_rejects.entry(name).or_insert(0) += n;
-        }
-        self.exports_suppressed += other.exports_suppressed;
-        self.exports_forced += other.exports_forced;
-        self.convergence_failures += other.convergence_failures;
-    }
 }
 
 /// One AS's compiled hook chain, in a fixed deterministic order:

@@ -23,8 +23,6 @@
 //!   reader — [`archive`];
 //! * source-agnostic element streams for the inference — [`source`];
 //! * k-way timestamp merging of many collector streams — [`merge`];
-//! * parallel bounded-memory ingestion of whole archive fleets —
-//!   [`fleet`];
 //! * live tailing of *growing* archives with a watermark-gated merge —
 //!   [`live`].
 
@@ -32,7 +30,6 @@ pub mod archive;
 pub mod collector;
 pub mod elem;
 pub mod extensions;
-pub mod fleet;
 pub mod live;
 pub mod merge;
 pub mod paths;
@@ -49,9 +46,6 @@ pub use elem::{BgpElem, DataSource, ElemType, PeerKey};
 pub use extensions::{
     CommunityScrubExt, ExportAction, ExportCx, ImportCx, Leaker, OnlyToCustomers, OriginCx,
     PathEnd, PeerlockLite, PolicyEngine, PolicyExtension, Rov, RunStats,
-};
-pub use fleet::{
-    ArchiveReport, ChannelSource, CollectorFleet, FleetConfig, FleetReport, FleetSource,
 };
 pub use live::{Clock, LiveArchive, LiveMerge, LivePoll, TailingSource, WallClock};
 pub use merge::MergedSource;

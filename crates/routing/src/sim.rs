@@ -105,16 +105,13 @@ pub enum EngineMode {
     /// Three valley-free phases scheduled by propagation rank — up to
     /// providers in ascending rank order, across peers and route
     /// servers in waves, down to customers in descending rank order —
-    /// with the work *within* each rank processed by `threads` workers
-    /// and merged in deterministic ASN order. Emits a bit-identical
-    /// elem stream to [`EngineMode::Queue`] (property-tested), and does
-    /// strictly less redundant work: rank order delivers
-    /// highest-preference customer routes first, so an AS's best route
-    /// never flips mid-flood the way FIFO churn makes it.
-    Phased {
-        /// Worker threads per rank group (clamped to ≥ 1).
-        threads: usize,
-    },
+    /// with the work *within* each rank processed in ascending target
+    /// ASN order. Emits a bit-identical elem stream to
+    /// [`EngineMode::Queue`] (property-tested), and does strictly less
+    /// redundant work: rank order delivers highest-preference customer
+    /// routes first, so an AS's best route never flips mid-flood the way
+    /// FIFO churn makes it.
+    Phased,
 }
 
 /// Typed propagation failure — the graceful replacement for the old
@@ -289,8 +286,8 @@ impl<'a> BgpSimulator<'a> {
     }
 
     /// Select the propagation engine. Both modes produce bit-identical
-    /// collector elems and outcomes; `Phased` is the fast path at
-    /// `Massive` scale.
+    /// collector elems and outcomes; `Phased` is the faster one at
+    /// `Massive` scale and the slower one at `Small` scale.
     pub fn set_engine_mode(&mut self, mode: EngineMode) {
         self.mode = mode;
     }
@@ -517,7 +514,7 @@ impl<'a> BgpSimulator<'a> {
     ) -> Result<(), PropagationError> {
         let result = match self.mode {
             EngineMode::Queue => self.run_queue(seeds, outcome),
-            EngineMode::Phased { threads } => self.run_phased(seeds, outcome, threads),
+            EngineMode::Phased => self.run_phased(seeds, outcome),
         };
         if result.is_err() {
             self.stats.convergence_failures += 1;
@@ -568,15 +565,12 @@ impl<'a> BgpSimulator<'a> {
     /// repeated until quiescent. Rank order delivers the
     /// highest-preference customer routes first, so an AS's best route
     /// settles without the withdraw/re-announce churn a FIFO trajectory
-    /// produces. Work within one rank group targets distinct ASes, so
-    /// it is farmed out to `threads` workers over disjoint per-AS state
-    /// and merged back in ASN order — the result is independent of both
-    /// thread count and completion order.
+    /// produces. Work within one rank group runs target by target in
+    /// ascending ASN order (see [`Self::process_group`]).
     fn run_phased(
         &mut self,
         seeds: Vec<Work>,
         outcome: &mut AnnounceOutcome,
-        threads: usize,
     ) -> Result<(), PropagationError> {
         let ranks = match &self.ranks {
             Some(r) => Arc::clone(r),
@@ -605,7 +599,7 @@ impl<'a> BgpSimulator<'a> {
                     if steps >= cap {
                         return Err(PropagationError::NoConvergence { steps });
                     }
-                    let out = self.process_group(works, outcome, threads);
+                    let out = self.process_group(works, outcome);
                     classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
                 }
             }
@@ -618,7 +612,7 @@ impl<'a> BgpSimulator<'a> {
                 if steps >= cap {
                     return Err(PropagationError::NoConvergence { steps });
                 }
-                let out = self.process_group(works, outcome, threads);
+                let out = self.process_group(works, outcome);
                 classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
             }
             // Phase 3: down. Routes descending to customers, highest
@@ -631,7 +625,7 @@ impl<'a> BgpSimulator<'a> {
                     if steps >= cap {
                         return Err(PropagationError::NoConvergence { steps });
                     }
-                    let out = self.process_group(works, outcome, threads);
+                    let out = self.process_group(works, outcome);
                     classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
                 }
             }
@@ -641,105 +635,36 @@ impl<'a> BgpSimulator<'a> {
         }
     }
 
-    /// Process one rank group of work items. Items are grouped per
-    /// target AS (a *unit*); units are independent because processing a
-    /// work item touches only the target's own per-prefix state, so
-    /// units run on worker threads and merge deterministically in ASN
-    /// order afterwards.
-    fn process_group(
-        &mut self,
-        works: Vec<Work>,
-        outcome: &mut AnnounceOutcome,
-        threads: usize,
-    ) -> Vec<Work> {
-        struct Unit {
-            me: Asn,
-            prefixes: HashMap<Ipv4Prefix, PrefixState>,
-            works: Vec<Work>,
-            out: Vec<Work>,
-            stats: RunStats,
-            outcome: AnnounceOutcome,
-            dirty: BTreeSet<(Asn, Ipv4Prefix)>,
-        }
+    /// Process one rank group of work items: targets in ascending ASN
+    /// order, each target's works in arrival order. Processing a work
+    /// item touches only the target's own per-prefix state, so the order
+    /// between targets changes nothing but the order of the generated
+    /// work, which is ASN-ordered and therefore deterministic.
+    fn process_group(&mut self, works: Vec<Work>, outcome: &mut AnnounceOutcome) -> Vec<Work> {
         let mut by_target: BTreeMap<Asn, Vec<Work>> = BTreeMap::new();
         for work in works {
             by_target.entry(work.target()).or_default().push(work);
         }
-        let mut units: Vec<Unit> = by_target
-            .into_iter()
-            .map(|(me, works)| Unit {
-                me,
-                prefixes: self.state.remove(&me).unwrap_or_default(),
-                works,
-                out: Vec::new(),
-                stats: RunStats::default(),
-                outcome: AnnounceOutcome::default(),
-                dirty: BTreeSet::new(),
-            })
-            .collect();
-        {
-            let ctx = SimCtx {
-                topology: self.topology,
-                origin_index: &self.origin_index,
-                behaviors: &self.behaviors,
-                policies: self.policies.as_ref(),
-                rs_index: &self.rs_index,
-            };
-            let run_unit = |unit: &mut Unit| {
-                let todo = std::mem::take(&mut unit.works);
-                let mut node = NodeState {
-                    me: unit.me,
-                    prefixes: &mut unit.prefixes,
-                    out: &mut unit.out,
-                    stats: &mut unit.stats,
-                    outcome: &mut unit.outcome,
-                    dirty: &mut unit.dirty,
-                };
-                for work in todo {
-                    process_work(&ctx, &mut node, work);
-                }
-            };
-            // Spawning scoped threads costs more than processing a
-            // small group; only parallelize when there are enough
-            // units to amortize it. Never affects results — the merge
-            // below is ASN-ordered either way.
-            const MIN_UNITS_PER_WORKER: usize = 256;
-            let workers = threads.max(1).min(units.len() / MIN_UNITS_PER_WORKER);
-            if workers <= 1 {
-                for unit in &mut units {
-                    run_unit(unit);
-                }
-            } else {
-                let run_unit = &run_unit;
-                let chunk = units.len().div_ceil(workers);
-                std::thread::scope(|s| {
-                    for group in units.chunks_mut(chunk) {
-                        s.spawn(move || {
-                            for unit in group {
-                                run_unit(unit);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-        // Deterministic merge: unit (ASN) order, never completion order.
+        let ctx = SimCtx {
+            topology: self.topology,
+            origin_index: &self.origin_index,
+            behaviors: &self.behaviors,
+            policies: self.policies.as_ref(),
+            rs_index: &self.rs_index,
+        };
         let mut generated: Vec<Work> = Vec::new();
-        for unit in units {
-            self.state.insert(unit.me, unit.prefixes);
-            generated.extend(unit.out);
-            self.stats.absorb(unit.stats);
-            for asn in unit.outcome.accepted_by {
-                if !outcome.accepted_by.contains(&asn) {
-                    outcome.accepted_by.push(asn);
-                }
+        for (me, works) in by_target {
+            let mut node = NodeState {
+                me,
+                prefixes: self.state.entry(me).or_default(),
+                out: &mut generated,
+                stats: &mut self.stats,
+                outcome,
+                dirty: &mut self.dirty,
+            };
+            for work in works {
+                process_work(&ctx, &mut node, work);
             }
-            for (asn, reason) in unit.outcome.rejected_by {
-                if !outcome.rejected_by.iter().any(|(a, _)| *a == asn) {
-                    outcome.rejected_by.push((asn, reason));
-                }
-            }
-            self.dirty.extend(unit.dirty);
         }
         generated
     }
@@ -865,12 +790,10 @@ impl<'a> BgpSimulator<'a> {
 //
 // Both engines run the exact same per-work processing; the functions
 // below take an explicit read-only context plus a per-AS state view
-// instead of `&mut self`, so the phased engine can hand disjoint state
-// to worker threads while the queue engine threads its own fields
-// through unchanged.
+// instead of `&mut self`, so each engine borrows the simulator's
+// read-only tables and the target AS's mutable state side by side.
 
-/// Read-only propagation context (all fields `Sync`), shared by every
-/// worker of a phased rank group.
+/// Read-only propagation context, shared by every work item of a run.
 struct SimCtx<'a> {
     topology: &'a Topology,
     origin_index: &'a OriginIndex,
@@ -887,8 +810,8 @@ impl SimCtx<'_> {
 }
 
 /// Mutable state of the one AS a work item targets. Processing a work
-/// item touches nothing outside this view — that unit isolation is what
-/// makes within-rank parallelism sound.
+/// item touches nothing outside this view — that isolation is what
+/// makes the phased engine's within-rank order irrelevant to the result.
 struct NodeState<'a> {
     me: Asn,
     prefixes: &'a mut HashMap<Ipv4Prefix, PrefixState>,

@@ -107,8 +107,8 @@ impl Topology {
     /// every provider edge strictly increases rank. Stubs are rank 0;
     /// tier-1s sit at the top. Phased propagation engines use this to
     /// schedule the valley-free passes (up in ascending rank order, down
-    /// in descending order) and to parallelize within a rank, because no
-    /// two ASes at the same rank are in a provider/customer relation.
+    /// in descending order); no two ASes at the same rank are in a
+    /// provider/customer relation.
     ///
     /// Computed by Kahn-style longest-path over the customer→provider
     /// DAG. Relationship cycles (which the generator never emits, but a

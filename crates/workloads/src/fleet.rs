@@ -8,13 +8,11 @@
 //! `(dataset, collector)` pair of the deployment, serialized with
 //! [`write_updates`] and named with [`archive_stamp`], so a synthetic
 //! RIS + RV + PCH + CDN fleet can be written out and re-ingested end to
-//! end through a [`CollectorFleet`].
+//! end through [`merged_archives`].
 
-use std::io::Cursor;
-
-use bh_mrt::MrtError;
+use bh_mrt::{MrtBytesReader, MrtError};
 use bh_routing::archive::{archive_stamp, split_by_collector, write_updates};
-use bh_routing::{BgpElem, CollectorDeployment, CollectorFleet, DataSource, FleetConfig};
+use bh_routing::{BgpElem, CollectorDeployment, DataSource, MergedSource, MrtElemSource};
 use bytes::Bytes;
 
 use crate::scenario::ScenarioOutput;
@@ -29,21 +27,11 @@ pub struct CollectorArchive {
     /// BGPStream-style archive name
     /// (`<platform>.rc<collector>.updates.<stamp>.mrt`).
     pub name: String,
-    /// The MRT bytes, refcounted so fleet reader threads share one
-    /// allocation per archive instead of copying it.
+    /// The MRT bytes, refcounted so every reader of the archive slices
+    /// one allocation instead of copying it.
     pub bytes: Bytes,
     /// Elements serialized into the archive.
     pub elems: u64,
-}
-
-impl CollectorArchive {
-    /// A fresh reader over the archive bytes, suitable for
-    /// [`CollectorFleet::add_archive`]. The clone is a refcount bump,
-    /// not a copy; prefer [`CollectorFleet::add_archive_bytes`] with
-    /// `bytes.clone()` directly for the zero-copy slicing path.
-    pub fn reader(&self) -> Cursor<Bytes> {
-        Cursor::new(self.bytes.clone())
-    }
 }
 
 fn archive_of(
@@ -95,25 +83,27 @@ pub fn fleet_archives_for(
         .collect()
 }
 
-/// Assemble a [`CollectorFleet`] over a set of archives (strict
-/// decoding, default tunables).
-pub fn fleet_of(archives: &[CollectorArchive]) -> CollectorFleet {
-    fleet_with_config(archives, FleetConfig::default())
-}
-
-/// Assemble a [`CollectorFleet`] over a set of archives with explicit
-/// tunables.
-pub fn fleet_with_config(archives: &[CollectorArchive], config: FleetConfig) -> CollectorFleet {
-    let mut fleet = CollectorFleet::with_config(config);
-    for archive in archives {
-        fleet.add_archive_bytes(archive.bytes.clone(), archive.dataset, archive.collector);
-    }
-    fleet
+/// One time-ordered stream over a set of archives: a strict zero-copy
+/// [`MrtElemSource`] per archive, k-way merged in the
+/// [`merge_streams`](bh_routing::merge_streams) order. A decode error
+/// ends only its own archive's stream; check each source's
+/// [`error`](MrtElemSource::error) via
+/// [`into_sources`](MergedSource::into_sources) once the merge is
+/// exhausted.
+pub fn merged_archives(
+    archives: &[CollectorArchive],
+) -> MergedSource<MrtElemSource<MrtBytesReader>> {
+    MergedSource::new(
+        archives
+            .iter()
+            .map(|a| MrtElemSource::from_bytes(a.bytes.clone(), a.dataset, a.collector))
+            .collect(),
+    )
 }
 
 impl ScenarioOutput {
     /// The collector stream as per-collector MRT archives — the input
-    /// shape of a [`CollectorFleet`] ingestion run.
+    /// shape of [`merged_archives`].
     pub fn fleet_archives(&self) -> Result<Vec<CollectorArchive>, MrtError> {
         fleet_archives(&self.elems)
     }
@@ -121,7 +111,11 @@ impl ScenarioOutput {
 
 #[cfg(test)]
 mod tests {
-    use bh_routing::{collect_source, deploy, merge_streams, CollectorConfig};
+    use bh_bgp_types::community::{Community, CommunitySet};
+    use bh_bgp_types::time::SimTime;
+    use bh_routing::{
+        collect_source, deploy, merge_streams, CollectorConfig, ElemSource, ElemType,
+    };
     use bh_topology::{TopologyBuilder, TopologyConfig};
 
     use super::*;
@@ -182,11 +176,10 @@ mod tests {
     fn fleet_reingestion_reproduces_the_merged_stream() {
         let (deployment, output) = scenario();
         let archives = fleet_archives_for(&deployment, &output.elems).expect("serialize");
-        let mut stream = fleet_of(&archives).start();
+        let mut stream = merged_archives(&archives);
         let streamed = collect_source(&mut stream);
-        let report = stream.finish();
-        assert!(report.is_clean());
-        assert_eq!(report.total_elems(), output.elems.len() as u64);
+        assert!(stream.into_sources().iter().all(|s| s.error().is_none()));
+        assert_eq!(streamed.len(), output.elems.len());
 
         let expected =
             merge_streams(split_by_collector(&output.elems).into_values().collect::<Vec<_>>());
@@ -204,5 +197,106 @@ mod tests {
             assert_eq!(got.as_path, want.as_path);
             assert_eq!(got.communities, want.communities);
         }
+    }
+
+    fn elem(t: u64, dataset: DataSource, collector: u16, peer: u32) -> BgpElem {
+        BgpElem {
+            time: SimTime::from_unix(t),
+            dataset,
+            collector,
+            peer_asn: bh_bgp_types::asn::Asn::new(peer),
+            peer_ip: "198.51.100.9".parse().unwrap(),
+            elem_type: ElemType::Announce,
+            prefix: "130.149.0.0/17".parse().unwrap(),
+            as_path: "100 200 300".parse().unwrap(),
+            communities: CommunitySet::from_classic(vec![Community::from_parts(100, 666)]),
+            next_hop: Some("198.51.100.9".parse().unwrap()),
+        }
+    }
+
+    fn archive(elems: &[BgpElem]) -> CollectorArchive {
+        let (dataset, collector) =
+            elems.first().map_or((DataSource::Cdn, 7), |e| (e.dataset, e.collector));
+        archive_of(dataset, collector, elems).expect("write succeeds")
+    }
+
+    /// Three interleaved collectors, the third sparse.
+    fn three_collectors() -> Vec<Vec<BgpElem>> {
+        vec![
+            (0..40).map(|k| elem(10 + k * 3, DataSource::Ris, 0, 11)).collect(),
+            (0..40).map(|k| elem(11 + k * 2, DataSource::RouteViews, 1, 22)).collect(),
+            (0..10).map(|k| elem(10 + k * 9, DataSource::Pch, 2, 33)).collect(),
+        ]
+    }
+
+    #[test]
+    fn fleet_yields_the_merge_streams_order() {
+        let streams = three_collectors();
+        let archives: Vec<_> = streams.iter().map(|s| archive(s)).collect();
+        let mut merged = merged_archives(&archives);
+        assert_eq!(merged.source_count(), 3);
+        let streamed = collect_source(&mut merged);
+        let sources = merged.into_sources();
+        assert!(sources.iter().all(|s| s.error().is_none() && s.records_read() > 0));
+        assert_eq!(streamed, merge_streams(streams), "must equal the materialized merge");
+    }
+
+    #[test]
+    fn bytes_archives_match_the_read_path() {
+        let streams = three_collectors();
+        let archives: Vec<_> = streams.iter().map(|s| archive(s)).collect();
+        let read_sources = archives
+            .iter()
+            .map(|a| MrtElemSource::new(&a.bytes[..], a.dataset, a.collector))
+            .collect();
+        let via_read = collect_source(MergedSource::new(read_sources));
+        assert_eq!(collect_source(merged_archives(&archives)), via_read);
+        assert_eq!(via_read.len(), 90);
+    }
+
+    #[test]
+    fn empty_archives_stream_nothing_but_report() {
+        let mut merged = merged_archives(&[archive(&[])]);
+        assert!(merged.next_elem().is_none());
+        let sources = merged.into_sources();
+        assert!(sources[0].error().is_none());
+        assert_eq!(sources[0].records_read(), 0);
+    }
+
+    #[test]
+    fn torn_archive_is_reported_not_hidden() {
+        let elems: Vec<BgpElem> = (0..5).map(|k| elem(k, DataSource::Ris, 0, 9)).collect();
+        let mut torn = archive(&elems);
+        torn.bytes = torn.bytes.slice(..torn.bytes.len() - 4);
+        let mut merged = merged_archives(&[torn]);
+        assert_eq!(collect_source(&mut merged).len(), 4, "intact records still stream");
+        assert!(merged.into_sources()[0].error().is_some());
+    }
+
+    #[test]
+    fn tolerant_fleet_counts_skipped_records() {
+        // A corrupt-payload record, then valid ones: tolerant sources
+        // skip and count, the strict `merged_archives` stops with an error.
+        let elems: Vec<BgpElem> = (0..3).map(|k| elem(k, DataSource::Ris, 0, 9)).collect();
+        let mut noisy = Vec::new();
+        noisy.extend_from_slice(&1u32.to_be_bytes());
+        noisy.extend_from_slice(&16u16.to_be_bytes()); // BGP4MP
+        noisy.extend_from_slice(&4u16.to_be_bytes()); // MESSAGE_AS4
+        noisy.extend_from_slice(&4u32.to_be_bytes());
+        noisy.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        noisy.extend_from_slice(&archive(&elems).bytes);
+        let noisy = Bytes::from(noisy);
+
+        let tolerant = MrtElemSource::from_bytes_tolerant(noisy.clone(), DataSource::Ris, 0);
+        let mut merged = MergedSource::new(vec![tolerant]);
+        assert_eq!(collect_source(&mut merged).len(), 3);
+        let sources = merged.into_sources();
+        assert!(sources[0].error().is_none());
+        assert_eq!(sources[0].records_skipped(), 1);
+
+        let strict = CollectorArchive { bytes: noisy, ..archive(&elems) };
+        let mut merged = merged_archives(&[strict]);
+        assert!(collect_source(&mut merged).is_empty());
+        assert!(merged.into_sources()[0].error().is_some());
     }
 }

@@ -23,9 +23,7 @@ pub mod scenario;
 
 pub use adversarial::{run_adversarial, AdversarialConfig, AdversarialOutput};
 pub use attacks::{mirai_era_start, poisson, AttackCalendar, Spike, SPIKES};
-pub use fleet::{
-    fleet_archives, fleet_archives_for, fleet_of, fleet_with_config, CollectorArchive,
-};
+pub use fleet::{fleet_archives, fleet_archives_for, merged_archives, CollectorArchive};
 pub use live::{record_spans, ReplayFeed, ScriptedFeed, VirtualClock};
 pub use reaction::{
     capable_providers, plan_reaction, Action, CapableProvider, GroundTruthEvent, ReactionConfig,

@@ -140,8 +140,12 @@ pub fn run_with_policies(
 }
 
 /// [`run`], selecting the propagation engine (and optionally a policy
-/// table). Both engines produce bit-identical output; `Phased` is the
-/// fast path at `Massive` scale.
+/// table). Both engines produce bit-identical output. `Phased` is the
+/// fast path only for `Massive`-scale floods; at `Small` scale it is
+/// slower, which is why [`run`] uses `Queue`: over ten paired 10 s
+/// perfbench `scenario_sim` runs (seeds 1–10) on a 2-core x86-64 box,
+/// `Phased` lost every pair, with a median `pass_ms_p50` of 1316 ms
+/// against 1076 ms (+22%).
 pub fn run_with_engine(
     topology: &Topology,
     deployment: CollectorDeployment,

@@ -7,17 +7,17 @@
 //! Simulates a scenario, partitions the collector stream into one MRT
 //! updates archive per `(platform, collector)` — the shape real
 //! pipelines download from RIS/Route Views/PCH — then re-ingests the
-//! whole archive set through a `CollectorFleet`: one reader thread per
-//! archive, bounded channels with backpressure, a k-way timestamp merge,
-//! and a sharded inference session with inline analytics. No
-//! `Vec<BgpElem>` of the stream ever exists on the fleet path, and the
+//! whole archive set through `merged_archives`: one zero-copy reader per
+//! archive under a k-way timestamp merge, feeding one inference session
+//! that drains closed events straight into the analytics accumulators.
+//! No `Vec<BgpElem>` of the stream ever exists on this path, and the
 //! result is bit-identical to the materialized baseline.
 
 use bh_bench::{Study, StudyRun, StudyScale};
 use bh_core::prelude::*;
 use bh_examples::section;
-use bh_routing::{merge_streams, split_by_collector};
-use bh_workloads::fleet_of;
+use bh_routing::{merge_streams, split_by_collector, ElemSource};
+use bh_workloads::merged_archives;
 
 fn main() {
     section("1. simulate and partition into per-collector archives");
@@ -35,20 +35,28 @@ fn main() {
         println!("  {:<40} {:>7} elems", archive.name, archive.elems);
     }
 
-    section("2. fleet → k-way merge → sharded session + inline analytics");
-    let pipeline = study.analytics_pipeline(&refdata, analytics);
-    let mut sharded = study.session(&refdata).build_sharded_with(4, pipeline);
-    let mut stream = fleet_of(&archives).start();
-    let ingested = sharded.ingest(&mut stream);
-    let report = stream.finish();
-    assert!(report.is_clean(), "fleet error: {:?}", report.first_error());
-    let (summary, merged_pipeline) = sharded.finish_parts();
-    let fleet_report = merged_pipeline.finalize();
+    section("2. archives → k-way merge → session + streaming analytics");
+    let mut session = study.session(&refdata).build();
+    let mut pipeline = study.analytics_pipeline(&refdata, analytics);
+    let mut stream = merged_archives(&archives);
+    let mut ingested = 0u64;
+    while let Some(elem) = stream.next_elem() {
+        session.push(elem);
+        ingested += 1;
+        if ingested.is_multiple_of(4_096) {
+            session.drain_closed_into(&mut pipeline);
+        }
+    }
+    let sources = stream.into_sources();
+    for source in &sources {
+        assert!(source.error().is_none(), "archive error: {:?}", source.error());
+    }
+    let summary = session.finish_with(&mut pipeline);
+    let fleet_report = pipeline.finalize();
     println!(
-        "{} readers decoded {} records, shipped {} elems; {} ingested by 4 shards",
-        report.archives.len(),
-        report.archives.iter().map(|a| a.records_read).sum::<u64>(),
-        report.total_elems(),
+        "{} readers decoded {} records; {} elems ingested",
+        sources.len(),
+        sources.iter().map(|s| s.records_read()).sum::<u64>(),
         ingested
     );
     println!(
@@ -61,7 +69,7 @@ fn main() {
     section("3. golden check vs the materialized baseline");
     let merged = merge_streams(split_by_collector(&output.elems).into_values().collect());
     let (batch_summary, batch_report) =
-        study.infer_sharded_analytics(&refdata, &merged, analytics, 4);
+        study.infer_streaming_analytics(&refdata, &merged, analytics, 4_096);
     assert_eq!(batch_summary.stats, summary.stats, "stats diverged");
     assert_eq!(batch_report, fleet_report, "analytics diverged");
     println!("fleet AnalyticsReport == materialized AnalyticsReport ✓");

@@ -53,7 +53,7 @@ fn main() {
         elems
     };
     let queue = flood(EngineMode::Queue);
-    let phased = flood(EngineMode::Phased { threads: 4 });
+    let phased = flood(EngineMode::Phased);
     assert_eq!(queue, phased, "queue and phased engines must emit identically");
     assert!(!queue.is_empty(), "flood produced no collector elements");
     println!("engines agree on {} elems", queue.len());

@@ -1,8 +1,7 @@
 //! Streaming-analytics equivalence: every paper table/figure computed
 //! by a mergeable [`EventAccumulator`] — fed mid-stream, out of order,
-//! split across accumulators and merged in any grouping, or run per
-//! shard with a barrier merge — equals the batch function over the
-//! materialized event list.
+//! or split across accumulators and merged in any grouping — equals the
+//! batch function over the materialized event list.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -23,10 +22,10 @@ fn small_study() -> &'static Study {
 }
 
 /// The golden acceptance test: on a Small-scale scenario, the streamed
-/// single-session report and the 4- and 8-shard barrier-merged reports
-/// are field-for-field equal to every batch function.
+/// single-session report is field-for-field equal to every batch
+/// function.
 #[test]
-fn streamed_and_sharded_reports_equal_batch_functions() {
+fn streamed_reports_equal_batch_functions() {
     let study = small_study();
     let StudyRun { output, result, refdata, analytics, report } = study.visibility_run(4, 6.0);
     assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
@@ -57,15 +56,6 @@ fn streamed_and_sharded_reports_equal_batch_functions() {
     assert_eq!(summary.census, result.census);
     assert_eq!(summary.per_dataset, result.per_dataset);
     assert_eq!(streamed, report);
-
-    // Sharded with per-worker pipelines merged at the barrier.
-    for shards in [4usize, 8] {
-        let (sharded_summary, sharded) =
-            study.infer_sharded_analytics(&refdata, &output.elems, analytics, shards);
-        assert_eq!(sharded_summary.stats, result.stats);
-        assert_eq!(sharded_summary.per_dataset, result.per_dataset);
-        assert_eq!(sharded, report, "{shards} shards diverged");
-    }
 }
 
 /// Reference data for the synthetic-event property tests.

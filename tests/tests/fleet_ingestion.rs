@@ -1,9 +1,8 @@
 //! Multi-collector fleet ingestion: golden equivalence of the k-way
 //! merge against `merge_streams`, bit-identical inference over merged
-//! and fleet-ingested streams, checkpoint/resume taken mid-fleet, and
-//! the Small-scale end-to-end archive → fleet → sharded-analytics run.
+//! and archive-ingested streams, checkpoint/resume taken mid-merge, and
+//! the Small-scale end-to-end archive → merge → streaming-analytics run.
 
-use std::io::Cursor;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -14,12 +13,11 @@ use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::{Community, CommunitySet};
 use bh_bgp_types::time::SimTime;
 use bh_core::EventAccumulator;
-use bh_routing::archive::write_updates;
 use bh_routing::{
-    collect_source, merge_streams, split_by_collector, BgpElem, CollectorFleet, DataSource,
-    ElemSource, ElemType, FleetConfig, MergedSource, SliceSource,
+    collect_source, merge_streams, split_by_collector, BgpElem, DataSource, ElemSource, ElemType,
+    MergedSource, SliceSource,
 };
-use bh_workloads::{fleet_archives_for, fleet_of};
+use bh_workloads::{fleet_archives_for, merged_archives};
 
 // ---- arbitrary collector streams ------------------------------------------
 
@@ -108,37 +106,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8 })] // spawns threads per case
-
-    /// Golden order, parallel: the `CollectorFleet` (MRT write → one
-    /// reader thread per archive → bounded channels → k-way merge)
-    /// yields the same `merge_streams` order, element for element.
-    #[test]
-    fn collector_fleet_yields_exact_merge_streams_order(streams in arb_streams()) {
-        let expected = merge_streams(streams.clone());
-
-        let mut fleet = CollectorFleet::with_config(FleetConfig {
-            batch_elems: 16, // small batches: exercise multi-batch channels
-            channel_batches: 2,
-        });
-        for (index, stream) in streams.iter().enumerate() {
-            let mut bytes = Vec::new();
-            write_updates(&mut bytes, stream).expect("archive serializes");
-            let (dataset, collector) = LABELS[index];
-            fleet.add_archive(Cursor::new(bytes), dataset, collector);
-        }
-        let mut merged_stream = fleet.start();
-        let streamed = collect_source(&mut merged_stream);
-        let report = merged_stream.finish();
-        prop_assert!(report.is_clean());
-        prop_assert_eq!(report.total_elems() as usize, expected.len());
-        // The MRT round trip preserves every elem verbatim (announces
-        // carry explicit NEXT_HOPs by construction), so exact equality.
-        prop_assert_eq!(streamed, expected);
-    }
-}
-
 // ---- bit-identical inference ----------------------------------------------
 
 proptest! {
@@ -146,8 +113,8 @@ proptest! {
 
     /// The `InferenceResult` over a fleet-ingested scenario is
     /// bit-identical to single-source ingestion of the materialized
-    /// merged stream — for both the sequential `MergedSource` and the
-    /// parallel `CollectorFleet`.
+    /// merged stream — for both the `MergedSource` over in-memory
+    /// streams and `merged_archives` over the MRT archives.
     #[test]
     fn fleet_inference_is_bit_identical_to_single_source(seed in 0u64..200) {
         let study = Study::build(StudyScale::Tiny, seed);
@@ -163,14 +130,14 @@ proptest! {
         let via_merge = study.infer_source(&refdata, &mut MergedSource::new(sources));
         prop_assert_eq!(&via_merge, &expected);
 
-        // Parallel fleet over MRT archives.
+        // Merged stream over MRT archives.
         let archives = output.fleet_archives().expect("archives serialize");
         let via_fleet = study.infer_fleet(&refdata, &archives);
         prop_assert_eq!(&via_fleet, &expected);
     }
 }
 
-// ---- checkpoint/resume mid-fleet ------------------------------------------
+// ---- checkpoint/resume mid-merge ------------------------------------------
 
 #[test]
 fn checkpoint_resume_mid_fleet_ingest_equals_uninterrupted_run() {
@@ -178,12 +145,12 @@ fn checkpoint_resume_mid_fleet_ingest_equals_uninterrupted_run() {
     let StudyRun { output, refdata, .. } = study.visibility_run(3, 6.0);
     let archives = output.fleet_archives().expect("archives serialize");
 
-    // Uninterrupted fleet run.
+    // Uninterrupted run.
     let expected = study.infer_fleet(&refdata, &archives);
 
-    // Same fleet stream, suspended mid-ingest: checkpoint the session,
+    // Same merged stream, suspended mid-ingest: checkpoint the session,
     // drop it, resume in a fresh one, and drain the *same* live stream.
-    let mut stream = fleet_of(&archives).start();
+    let mut stream = merged_archives(&archives);
     let mut first = study.session(&refdata).build();
     let mut consumed = 0u64;
     let pause_at = (output.elems.len() / 2) as u64;
@@ -202,9 +169,8 @@ fn checkpoint_resume_mid_fleet_ingest_equals_uninterrupted_run() {
 
     let mut resumed = study.session(&refdata).resume(checkpoint);
     let rest = resumed.ingest(&mut stream);
-    let report = stream.finish();
-    assert!(report.is_clean());
-    assert_eq!(consumed + rest, report.total_elems());
+    assert!(stream.into_sources().iter().all(|s| s.error().is_none()));
+    assert_eq!(consumed + rest, output.elems.len() as u64);
     assert_eq!(resumed.finish(), expected);
 }
 
@@ -218,38 +184,48 @@ fn small_study() -> &'static Study {
 }
 
 /// The acceptance run: scenario → per-collector MRT archives (including
-/// the deployment's silent collectors) → `CollectorFleet` →
-/// `ShardedSession` with inline analytics produces the same
-/// `AnalyticsReport` as the materialized path.
+/// the deployment's silent collectors) → `merged_archives` → one session
+/// draining closed events into the `AnalyticsPipeline` produces the same
+/// summary and `AnalyticsReport` as the materialized path.
 #[test]
-fn small_scale_fleet_to_sharded_analytics_matches_materialized_path() {
+fn small_scale_fleet_to_streaming_analytics_matches_materialized_path() {
     let study = small_study();
     let StudyRun { output, refdata, analytics, .. } = study.visibility_run(3, 5.0);
     let archives =
         fleet_archives_for(&study.deployment(), &output.elems).expect("archives serialize");
     assert!(archives.len() > 8, "expected a real fleet, got {}", archives.len());
 
-    // Materialized path: decode-merge into a Vec, sharded inference with
-    // inline analytics.
+    // Materialized path: merge into a Vec, batch inference, then the
+    // accumulators over the finished result.
     let merged = merge_streams(split_by_collector(&output.elems).into_values().collect());
-    let (batch_summary, batch_report) =
-        study.infer_sharded_analytics(&refdata, &merged, analytics, 4);
+    let batch = study.infer(&refdata, &merged);
+    let mut batch_pipeline = study.analytics_pipeline(&refdata, analytics);
+    batch_pipeline.observe_result(&batch);
+    let batch_report = batch_pipeline.finalize();
 
-    // Fleet path: archive readers → merge → sharded session, per-shard
-    // pipelines merged at the barrier. No stream-sized Vec anywhere.
-    let pipeline = study.analytics_pipeline(&refdata, analytics);
-    let mut sharded = study.session(&refdata).build_sharded_with(4, pipeline);
-    let mut stream = fleet_of(&archives).start();
-    let ingested = sharded.ingest(&mut stream);
-    let report = stream.finish();
-    assert!(report.is_clean(), "fleet error: {:?}", report.first_error());
+    // Streaming path: archive sources → merge → session, closed events
+    // drained into the pipeline as they go. No stream-sized Vec anywhere.
+    let mut session = study.session(&refdata).build();
+    let mut pipeline = study.analytics_pipeline(&refdata, analytics);
+    let mut stream = merged_archives(&archives);
+    let mut ingested = 0u64;
+    while let Some(elem) = stream.next_elem() {
+        session.push(elem);
+        ingested += 1;
+        if ingested.is_multiple_of(1_000) {
+            session.drain_closed_into(&mut pipeline);
+        }
+    }
+    for source in stream.into_sources() {
+        assert!(source.error().is_none(), "archive error: {:?}", source.error());
+    }
     assert_eq!(ingested, output.elems.len() as u64, "every element must stream through");
-    let (fleet_summary, merged_pipeline) = sharded.finish_parts();
-    let fleet_report = merged_pipeline.finalize();
+    let summary = session.finish_with(&mut pipeline);
+    let report = pipeline.finalize();
 
-    assert_eq!(fleet_summary.stats, batch_summary.stats);
-    assert_eq!(fleet_summary.census, batch_summary.census);
-    assert_eq!(fleet_summary.per_dataset, batch_summary.per_dataset);
-    assert_eq!(fleet_report, batch_report, "fleet AnalyticsReport diverged");
-    assert!(!fleet_report.table3.is_empty());
+    assert_eq!(summary.stats, batch.stats);
+    assert_eq!(summary.census, batch.census);
+    assert_eq!(summary.per_dataset, batch.per_dataset);
+    assert_eq!(report, batch_report, "streamed AnalyticsReport diverged");
+    assert!(!report.table3.is_empty());
 }

@@ -1,8 +1,8 @@
-//! Engine-equivalence properties: the three-phase rank-parallel
+//! Engine-equivalence properties: the three-phase rank-scheduled
 //! propagation engine must be *bit-identical* to the sequential queue
 //! engine — same collector elements, same ground truth, same
 //! announcement counts — on any scenario, with or without a policy
-//! table installed, and regardless of worker count. These properties
+//! table installed. These properties
 //! are what lets `Massive`-scale runs switch engines for speed without
 //! re-validating any analysis downstream.
 
@@ -84,24 +84,15 @@ proptest! {
     #[test]
     fn engines_agree_on_tiny_scenarios(seed in 0u64..500) {
         let queue = run_tiny(seed, None, EngineMode::Queue);
-        let phased = run_tiny(seed, None, EngineMode::Phased { threads: 4 });
+        let phased = run_tiny(seed, None, EngineMode::Phased);
         assert_identical(&queue, &phased);
         prop_assert!(!queue.elems.is_empty(), "scenario produced no elems");
 
         let topology = TopologyBuilder::new(TopologyConfig::tiny(55)).build();
         let rov = rov_table(&topology);
         let queue = run_tiny(seed, Some(&rov), EngineMode::Queue);
-        let phased = run_tiny(seed, Some(&rov), EngineMode::Phased { threads: 4 });
+        let phased = run_tiny(seed, Some(&rov), EngineMode::Phased);
         assert_identical(&queue, &phased);
-    }
-
-    /// The phased schedule is deterministic in the worker count: one
-    /// worker and four workers produce the same stream.
-    #[test]
-    fn phased_is_thread_count_invariant(seed in 0u64..500) {
-        let one = run_tiny(seed, None, EngineMode::Phased { threads: 1 });
-        let four = run_tiny(seed, None, EngineMode::Phased { threads: 4 });
-        assert_identical(&one, &four);
     }
 }
 
@@ -123,7 +114,7 @@ fn run_small(policies: Option<&PolicyTable>, engine: EngineMode) -> ScenarioOutp
 #[test]
 fn engines_agree_at_small_scale() {
     let queue = run_small(None, EngineMode::Queue);
-    let phased = run_small(None, EngineMode::Phased { threads: 4 });
+    let phased = run_small(None, EngineMode::Phased);
     assert_identical(&queue, &phased);
     assert!(!queue.elems.is_empty());
 }
@@ -134,7 +125,7 @@ fn engines_agree_at_small_scale_with_rov() {
     let rov = rov_table(topology);
     assert!(rov.deployed_count() > 0, "ROV table deployed nowhere");
     let queue = run_small(Some(&rov), EngineMode::Queue);
-    let phased = run_small(Some(&rov), EngineMode::Phased { threads: 4 });
+    let phased = run_small(Some(&rov), EngineMode::Phased);
     assert_identical(&queue, &phased);
     // The policy actually bit: the ROV extension rejected imports.
     let extension_rejects: u64 = queue.run_stats.extension_rejects.values().sum();
@@ -147,7 +138,7 @@ fn engines_agree_at_small_scale_with_otc_and_leaker() {
     let table = otc_leaker_table(topology);
     assert!(table.deployed_count() >= 2, "need OTC deployers and a leaker");
     let queue = run_small(Some(&table), EngineMode::Queue);
-    let phased = run_small(Some(&table), EngineMode::Phased { threads: 4 });
+    let phased = run_small(Some(&table), EngineMode::Phased);
     assert_identical(&queue, &phased);
 }
 

@@ -69,9 +69,9 @@ proptest! {
     }
 }
 
-/// One Small-scale environment shared by every sharding case: building
-/// the ~230-AS topology and corpus dominates the test's wall-clock, and
-/// the property varies the scenario, not the Internet.
+/// One Small-scale environment shared by every Small-scale case:
+/// building the ~230-AS topology and corpus dominates the test's
+/// wall-clock, and the property varies the scenario, not the Internet.
 fn small_study() -> &'static Study {
     static STUDY: OnceLock<Study> = OnceLock::new();
     STUDY.get_or_init(|| Study::build(StudyScale::Small, 42))
@@ -81,30 +81,6 @@ proptest! {
     #![proptest_config(ProptestConfig {
         cases: 3, // each case simulates days of BGP at Small scale
     })]
-
-    /// The acceptance property of the sharded runner: hash-partitioning
-    /// a `StudyScale::Small` visibility run across N >= 4 worker threads
-    /// produces a bit-identical `InferenceResult` — same events in the
-    /// same order, same census, same counters, same per-dataset
-    /// visibility — as the single-threaded session.
-    #[test]
-    fn sharded_session_is_bit_identical_to_single_threaded(
-        days in 2u64..4,
-        rate in 2.0f64..6.0,
-        shards in 4usize..9,
-    ) {
-        let study = small_study();
-        let StudyRun { output, result, refdata, .. } = study.visibility_run(days, rate);
-        prop_assert!(!result.events.is_empty(), "degenerate run: nothing inferred");
-
-        let sharded = study.infer_sharded(&refdata, &output.elems, shards);
-        prop_assert_eq!(&sharded.events, &result.events);
-        prop_assert_eq!(&sharded.census, &result.census);
-        prop_assert_eq!(sharded.stats, result.stats);
-        prop_assert_eq!(&sharded.per_dataset, &result.per_dataset);
-        // And the whole-result comparison, in case fields are added.
-        prop_assert_eq!(sharded, result);
-    }
 
     /// The policy-extension no-op guarantee: installing an *empty*
     /// `PolicyTable` compiles to nothing, so a Small-scale run with it

@@ -3,8 +3,8 @@
 //! observationally identical to the copying [`MrtReader`] path — same
 //! records, same [`BgpElem`] streams, same [`InferenceResult`]s — on
 //! arbitrary round-tripped archives. Interning is checked the same way:
-//! tables built in any order or merged across shards are set-equal, and
-//! absorb keeps already-issued ids stable.
+//! tables built in any order are set-equal, and re-interning keeps
+//! already-issued ids stable.
 
 use std::sync::OnceLock;
 
@@ -113,35 +113,20 @@ proptest! {
     }
 
     /// Elem-level equivalence: the zero-copy source streams the same
-    /// `BgpElem`s as the copying source, in the same order — including
-    /// when two sources over the same archive share one attribute cache.
+    /// `BgpElem`s as the copying source, in the same order.
     #[test]
     fn bytes_source_equals_read_source(draws in arb_update_fields()) {
         let archive = write_archive(&draws);
         let via_read =
             drain(MrtElemSource::new(&archive[..], DataSource::Ris, 7));
-        let via_bytes =
-            drain(MrtElemSource::from_bytes(archive.clone(), DataSource::Ris, 7));
+        let via_bytes = drain(MrtElemSource::from_bytes(archive, DataSource::Ris, 7));
         prop_assert_eq!(&via_read, &via_bytes);
-
-        let cache = bh_mrt::shared_attr_cache();
-        let first = drain(MrtElemSource::from_bytes_shared(
-            archive.clone(),
-            DataSource::Ris,
-            7,
-            cache.clone(),
-        ));
-        // The second pass decodes entirely from the sibling's cache fills.
-        let second =
-            drain(MrtElemSource::from_bytes_shared(archive, DataSource::Ris, 7, cache));
-        prop_assert_eq!(&via_read, &first);
-        prop_assert_eq!(&via_read, &second);
     }
 
     /// Intern tables are order-insensitive sets with stable ids: interning
-    /// the same values in any order yields equal tables, resolving an id
-    /// issued before an absorb still returns the same value after it, and
-    /// the absorb remap points every absorbed value at its canonical entry.
+    /// the same values in any order yields equal tables, and resolving an
+    /// id issued before more values arrive still returns the same value
+    /// after them.
     #[test]
     fn intern_tables_dedup_and_keep_ids_stable(
         a in prop::collection::vec(prop::collection::vec(1u32..32, 0..5), 0..12),
@@ -168,21 +153,15 @@ proptest! {
         }
         prop_assert_eq!(&fwd, &rev);
 
-        // Id stability across a shard-style merge.
+        // Id stability as more values arrive.
         let issued: Vec<_> = left.iter().map(|p| fwd.intern(p)).collect();
-        let mut other = PathTable::new();
         for p in &right {
-            other.intern(p);
+            fwd.intern(p);
         }
-        let remap = fwd.absorb(&other);
         for (p, id) in left.iter().zip(&issued) {
-            prop_assert_eq!(fwd.resolve(*id), p); // absorb must not move an issued id
+            prop_assert_eq!(fwd.resolve(*id), p); // new values must not move an issued id
         }
-        prop_assert_eq!(remap.len(), other.len()); // one remap entry per absorbed id
-        for (value, id) in other.iter().zip(&remap) {
-            prop_assert_eq!(fwd.resolve(*id), value); // remap resolves to the absorbed value
-        }
-        // The merged table is the set union.
+        // The table is the set union.
         let mut expect = InternTable::new();
         for p in left.iter().chain(&right) {
             expect.intern(p);
@@ -198,9 +177,8 @@ fn small_study() -> &'static Study {
 }
 
 /// The golden end-to-end check: a realistic multi-collector archive set
-/// run through the copying merged stream, the zero-copy merged stream,
-/// and the zero-copy parallel fleet produces bit-identical
-/// `InferenceResult`s.
+/// run through the copying merged stream and the zero-copy
+/// `merged_archives` stream produces bit-identical `InferenceResult`s.
 #[test]
 fn zero_copy_inference_equals_read_path_inference() {
     let study = small_study();
@@ -213,15 +191,8 @@ fn zero_copy_inference_equals_read_path_inference() {
         archives.iter().map(|a| MrtElemSource::new(&a.bytes[..], a.dataset, a.collector)).collect();
     let via_read = study.infer_source(&refdata, &mut MergedSource::new(read_sources));
 
-    let bytes_sources: Vec<_> = archives
-        .iter()
-        .map(|a| MrtElemSource::from_bytes(a.bytes.clone(), a.dataset, a.collector))
-        .collect();
-    let via_bytes = study.infer_source(&refdata, &mut MergedSource::new(bytes_sources));
+    let via_bytes = study.infer_fleet(&refdata, &archives);
     assert_eq!(via_read, via_bytes, "zero-copy merged stream diverged");
-
-    let via_fleet = study.infer_fleet(&refdata, &archives);
-    assert_eq!(via_read, via_fleet, "zero-copy fleet diverged");
 
     assert!(!via_read.events.is_empty(), "degenerate run: nothing inferred");
 }
