@@ -11,10 +11,10 @@ BENCH_JSONL ?= $(CURDIR)/target/criterion-run.jsonl
 # live-service overhead).
 BENCH_SUITES = --bench pipeline_throughput --bench live_latency --bench policy_overhead --bench propagation_massive --bench classifier_mining
 
-.PHONY: check fmt fmt-check build test test-release clippy doc quickstart bench bench-check \
-	bench-json bench-baseline bench-compare
+.PHONY: check fmt fmt-check build test test-release perfbench-test clippy doc quickstart bench \
+	bench-check bench-json bench-baseline bench-compare
 
-check: fmt-check build test clippy bench-check doc quickstart bench-compare
+check: fmt-check build test perfbench-test clippy bench-check doc quickstart bench-compare
 
 fmt:
 	$(CARGO) fmt --all
@@ -29,6 +29,12 @@ build:
 # (fleet ingestion golden equivalence, MRT round-trip proptests, …).
 test:
 	$(CARGO) test -q
+
+# The benchmark runner's Tiny-scale self-tests. perfbench/ is a Cargo
+# workspace of its own, so `test` never builds it: without this step a
+# library signature change could break the benchmark unnoticed.
+perfbench-test:
+	$(CARGO) test --offline -q --manifest-path perfbench/Cargo.toml
 
 # The heap-merge and proptest suites again, optimized — what the CI
 # release-test job runs (debug_assert-free, so it also exercises the

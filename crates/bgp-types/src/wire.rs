@@ -364,10 +364,11 @@ impl AttrCache {
 /// Encode a full BGP UPDATE *message* (header + body) for the IPv4 routes
 /// of `update`. IPv6 routes are ignored by this wire path (see module docs).
 ///
-/// Fails with [`CodecError::TooLong`] when the withdrawn routes, the path
-/// attributes or the whole message exceed the 65,535 bytes their 2-byte
-/// length fields can carry. Note that [`decode_update_message`] accepts
-/// at most [`BGP_MAX_MESSAGE_LEN`] bytes.
+/// Fails with [`CodecError::TooLong`] when the withdrawn routes or the
+/// path attributes exceed the 65,535 bytes their 2-byte length fields can
+/// carry, or when the whole message exceeds [`BGP_MAX_MESSAGE_LEN`] — the
+/// most [`decode_update_message`] accepts — so nothing this encoder
+/// writes is refused by its own decoder.
 pub fn encode_update_message(update: &BgpUpdate) -> Result<BytesMut, CodecError> {
     let mut body = BytesMut::new();
 
@@ -391,10 +392,13 @@ pub fn encode_update_message(update: &BgpUpdate) -> Result<BytesMut, CodecError>
         body.put_u16(0);
     }
 
-    let len = CodecError::fit_u16("bgp message", BGP_HEADER_LEN + body.len())?;
-    let mut msg = BytesMut::with_capacity(BGP_HEADER_LEN + body.len());
+    let len = BGP_HEADER_LEN + body.len();
+    if len > BGP_MAX_MESSAGE_LEN {
+        return Err(CodecError::TooLong { what: "bgp message", len, max: BGP_MAX_MESSAGE_LEN });
+    }
+    let mut msg = BytesMut::with_capacity(len);
     msg.put_slice(&[0xFF; 16]); // marker
-    msg.put_u16(len);
+    msg.put_u16(len as u16); // at most BGP_MAX_MESSAGE_LEN
     msg.put_u8(msg_type::UPDATE);
     msg.put_slice(&body);
     Ok(msg)
@@ -670,14 +674,24 @@ mod tests {
     }
 
     #[test]
-    fn update_message_length_field_carries_65535_and_refuses_65536() {
-        let fits = encode_update_message(&withdrawals_of_message_len(65_535)).unwrap();
-        assert_eq!(fits.len(), 65_535);
-        assert_eq!(u16::from_be_bytes([fits[16], fits[17]]), u16::MAX);
+    fn update_message_of_4096_bytes_round_trips_and_4097_is_refused() {
+        let update = withdrawals_of_message_len(BGP_MAX_MESSAGE_LEN);
+        let fits = encode_update_message(&update).unwrap();
+        assert_eq!(fits.len(), 4_096);
+        assert_eq!(u16::from_be_bytes([fits[16], fits[17]]), 4_096);
+        assert_eq!(decode_update_message(fits.freeze()).unwrap(), Some(update));
         assert_eq!(
-            encode_update_message(&withdrawals_of_message_len(65_536)),
-            Err(CodecError::TooLong { what: "bgp message", len: 65_536, max: 65_535 })
+            encode_update_message(&withdrawals_of_message_len(4_097)),
+            Err(CodecError::TooLong { what: "bgp message", len: 4_097, max: 4_096 })
         );
+        // Announcements count too: a big attribute block is refused as
+        // a message even though its own 2-byte field could carry it.
+        let mut tagged = BgpUpdate::new(with_communities(1_100));
+        tagged.announce_v4("192.0.2.0/24".parse().unwrap());
+        assert!(matches!(
+            encode_update_message(&tagged),
+            Err(CodecError::TooLong { what: "bgp message", max: 4_096, .. })
+        ));
         // A withdrawn-routes section past its own 2-byte field.
         assert_eq!(
             encode_update_message(&withdrawals_of_message_len(65_536 + BGP_HEADER_LEN + 4)),

@@ -302,6 +302,26 @@ mod tests {
     }
 
     #[test]
+    fn update_longer_than_a_bgp_message_is_refused() {
+        // 1,100 communities fit the attribute's length field but make a
+        // message past the 4,096 bytes the decoder accepts.
+        let attrs = PathAttributes {
+            communities: CommunitySet::from_classic((0..1_100).map(Community).collect()),
+            ..Default::default()
+        };
+        let mut update = BgpUpdate::new(attrs);
+        update.announce_v4("192.0.2.0/24".parse().unwrap());
+        let ip: IpAddr = "10.0.0.1".parse().unwrap();
+        let t = SimTime::from_unix(1);
+        match write_one(|w| w.write_update(t, Asn::new(1), ip, Asn::new(2), ip, &update)) {
+            Err(MrtError::Codec(CodecError::TooLong {
+                what: "bgp message", max: 4_096, ..
+            })) => {}
+            other => panic!("expected the message to be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn writer_counts_records_and_bytes() {
         let mut buf = Vec::new();
         let mut w = MrtWriter::new(&mut buf);

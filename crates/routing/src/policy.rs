@@ -4,7 +4,7 @@
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::community::CommunitySet;
 use bh_bgp_types::prefix::Ipv4Prefix;
-use bh_topology::{BlackholeAuth, Relationship, Topology};
+use bh_topology::{BlackholeAuth, BlackholeOffering, Relationship, Topology};
 
 /// LOCAL_PREF assigned by relationship (standard Gao-Rexford economics).
 pub fn local_pref_for(rel: Relationship) -> u32 {
@@ -148,21 +148,22 @@ pub fn auth_ok(auth: BlackholeAuth, ctx: &AuthContext<'_>) -> bool {
     }
 }
 
-/// Full import decision at AS `receiver` for a route to `prefix` with
-/// `communities`, received over a session of type `rel` (receiver's view)
-/// from `sender`.
-#[allow(clippy::too_many_arguments)]
-pub fn import_decision(
-    receiver: Asn,
+/// Full import decision at a receiver with blackhole `offering` for a
+/// route to `prefix` with `communities`, received over a session of type
+/// `rel` (receiver's view).
+///
+/// `auth_ctx` is called only when one of the receiver's triggers
+/// matched and the length is accepted — the only case that
+/// authenticates — so the allocation-owner lookup behind it is skipped
+/// for every other import.
+pub fn import_decision<'t>(
+    offering: Option<&BlackholeOffering>,
     rel: Relationship,
     prefix: &Ipv4Prefix,
     communities: &CommunitySet,
     behavior: SessionBehavior,
-    topology: &Topology,
-    auth_ctx: &AuthContext<'_>,
+    auth_ctx: impl FnOnce() -> AuthContext<'t>,
 ) -> ImportOutcome {
-    let offering = topology.as_info(receiver).and_then(|i| i.blackhole_offering.as_ref());
-
     // Does the announcement carry one of *our* triggers?
     let triggered = offering.is_some_and(|o| {
         communities.iter().any(|c| o.is_trigger(c))
@@ -174,7 +175,7 @@ pub fn import_decision(
         let offering = offering.expect("triggered implies offering");
         if !offering.accepts_length(prefix.length()) {
             trigger_rejection = Some(RejectReason::LengthRejected);
-        } else if !auth_ok(offering.auth, auth_ctx) {
+        } else if !auth_ok(offering.auth, &auth_ctx()) {
             trigger_rejection = Some(RejectReason::AuthFailed);
         } else {
             return ImportOutcome { decision: ImportDecision::Blackhole, trigger_rejection: None };
@@ -259,6 +260,10 @@ mod tests {
         AuthContext { topology, origin, sender, allocation_owner: owner, irr_registered: irr }
     }
 
+    fn offering(topology: &Topology, asn: Asn) -> Option<&BlackholeOffering> {
+        topology.as_info(asn).and_then(|i| i.blackhole_offering.as_ref())
+    }
+
     #[test]
     fn local_pref_ordering() {
         assert!(local_pref_for(Relationship::Customer) > local_pref_for(Relationship::Peer));
@@ -294,13 +299,12 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, user, user, Some(user), true);
         let d = import_decision(
-            provider,
+            offering(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
-            &auth,
+            || auth,
         );
         assert_eq!(d.decision, ImportDecision::Blackhole);
         assert_eq!(d.trigger_rejection, None);
@@ -313,13 +317,12 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, user, user, Some(user), true);
         let d = import_decision(
-            provider,
+            offering(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
-            &auth,
+            || auth,
         );
         // The trigger does not fire (too coarse), but the /20 is still a
         // legitimate route and imports normally.
@@ -335,13 +338,12 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, user, user, Some(other), true);
         let d = import_decision(
-            provider,
+            offering(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
-            &auth,
+            || auth,
         );
         // Auth failed: no blackhole, but the host route still imports per
         // the session's host-route policy (default: from customers, yes).
@@ -358,25 +360,23 @@ mod tests {
         let bad = ctx(&t, other, other, Some(user), false);
         assert_eq!(
             import_decision(
-                provider,
+                offering(&t, provider),
                 Relationship::Customer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
-                &good
+                || good
             )
             .decision,
             ImportDecision::Blackhole
         );
         let bad_outcome = import_decision(
-            provider,
+            offering(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
-            &bad,
+            || bad,
         );
         assert_ne!(bad_outcome.decision, ImportDecision::Blackhole);
         assert_eq!(bad_outcome.trigger_rejection, Some(RejectReason::AuthFailed));
@@ -391,25 +391,23 @@ mod tests {
         let unregistered = ctx(&t, user, user, Some(user), false);
         assert_eq!(
             import_decision(
-                provider,
+                offering(&t, provider),
                 Relationship::Customer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
-                &registered
+                || registered
             )
             .decision,
             ImportDecision::Blackhole
         );
         let rejected = import_decision(
-            provider,
+            offering(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
-            &unregistered,
+            || unregistered,
         );
         assert_ne!(rejected.decision, ImportDecision::Blackhole);
         assert_eq!(rejected.trigger_rejection, Some(RejectReason::AuthFailed));
@@ -425,13 +423,12 @@ mod tests {
         let communities = CommunitySet::from_classic(vec![Community::from_parts(1, 666)]);
         let auth = ctx(&t, provider, provider, Some(user), false);
         let d = import_decision(
-            provider,
+            offering(&t, provider),
             Relationship::Customer,
             &prefix,
             &communities,
             SessionBehavior::default(),
-            &t,
-            &auth,
+            || auth,
         );
         assert_eq!(d.decision, ImportDecision::Blackhole);
     }
@@ -446,13 +443,12 @@ mod tests {
         // (this is what makes bundling visible).
         assert_eq!(
             import_decision(
-                provider,
+                offering(&t, provider),
                 Relationship::Customer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
-                &auth
+                || auth
             )
             .decision,
             ImportDecision::Regular
@@ -460,13 +456,12 @@ mod tests {
         // From peer with default behavior: too specific.
         assert_eq!(
             import_decision(
-                provider,
+                offering(&t, provider),
                 Relationship::Peer,
                 &prefix,
                 &communities,
                 SessionBehavior::default(),
-                &t,
-                &auth
+                || auth
             )
             .decision,
             ImportDecision::Reject(RejectReason::TooSpecific)
@@ -475,17 +470,47 @@ mod tests {
         let lenient = SessionBehavior { host_routes_from_peers: true, ..Default::default() };
         assert_eq!(
             import_decision(
-                provider,
+                offering(&t, provider),
                 Relationship::Peer,
                 &prefix,
                 &communities,
                 lenient,
-                &t,
-                &auth
+                || auth
             )
             .decision,
             ImportDecision::Regular
         );
+    }
+
+    #[test]
+    fn auth_context_is_built_only_when_a_trigger_matched() {
+        let (t, provider, user, _) = topo_with_provider(BlackholeAuth::OriginOrCone);
+        let prefix: Ipv4Prefix = "30.0.1.1/32".parse().unwrap();
+        let built = std::cell::Cell::new(0);
+        let auth = || {
+            built.set(built.get() + 1);
+            ctx(&t, user, user, Some(user), true)
+        };
+        let untagged = import_decision(
+            offering(&t, provider),
+            Relationship::Peer,
+            &prefix,
+            &CommunitySet::new(),
+            SessionBehavior::default(),
+            auth,
+        );
+        assert_eq!(untagged.decision, ImportDecision::Reject(RejectReason::TooSpecific));
+        assert_eq!(built.get(), 0, "no trigger: no allocation-owner lookup");
+        let tagged = import_decision(
+            offering(&t, provider),
+            Relationship::Customer,
+            &prefix,
+            &CommunitySet::from_classic(vec![Community::from_parts(1, 666)]),
+            SessionBehavior::default(),
+            auth,
+        );
+        assert_eq!(tagged.decision, ImportDecision::Blackhole);
+        assert_eq!(built.get(), 1);
     }
 
     #[test]
@@ -495,13 +520,12 @@ mod tests {
         let auth = ctx(&t, user, user, Some(user), true);
         for rel in [Relationship::Customer, Relationship::Peer, Relationship::Provider] {
             let outcome = import_decision(
-                provider,
+                offering(&t, provider),
                 rel,
                 &prefix,
                 &CommunitySet::new(),
                 SessionBehavior::default(),
-                &t,
-                &auth,
+                || auth,
             );
             assert_eq!(outcome.decision, ImportDecision::Regular);
             assert_eq!(outcome.trigger_rejection, None);

@@ -16,7 +16,7 @@
 //!   (peer-ip inside the peering LAN),
 //! * providers that strip their trigger community or suppress propagation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -27,9 +27,12 @@ use bh_bgp_types::as_path::AsPath;
 use bh_bgp_types::asn::Asn;
 use bh_bgp_types::bogon::BogonFilter;
 use bh_bgp_types::community::CommunitySet;
+use bh_bgp_types::hash::FxHashMap;
 use bh_bgp_types::prefix::Ipv4Prefix;
 use bh_bgp_types::time::SimTime;
-use bh_topology::{Ixp, OriginIndex, PolicyTable, PropagationRanks, Relationship, Topology};
+use bh_topology::{
+    BlackholeOffering, Ixp, OriginIndex, PolicyTable, PropagationRanks, Relationship, Topology,
+};
 
 use crate::collector::{CollectorDeployment, CollectorSession, FeedKind};
 use crate::elem::{BgpElem, DataSource, ElemType};
@@ -211,17 +214,56 @@ impl Work {
     }
 }
 
+/// Everything the propagation core reads about one AS, resolved once
+/// per simulator rather than once per work item.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node<'a> {
+    /// Neighbors with the relationship as seen from this AS, sorted by
+    /// ASN ([`Topology::assemble`] sorts adjacency lists).
+    neighbors: &'a [(Asn, Relationship)],
+    /// The AS's blackhole offering, if it offers one.
+    offering: Option<&'a BlackholeOffering>,
+    /// The IXP whose route server this AS is, if any.
+    ixp: Option<&'a Ixp>,
+    /// Router-configuration toggles (host-route acceptance).
+    behavior: SessionBehavior,
+}
+
+impl<'a> Node<'a> {
+    /// The entry of an ASN the topology's AS table does not list: its
+    /// adjacency (if edges name it), no offering, default behavior.
+    fn unlisted(topology: &'a Topology, asn: Asn) -> Self {
+        Node { neighbors: topology.neighbors(asn), ..Node::default() }
+    }
+
+    fn lookup(nodes: &FxHashMap<Asn, Node<'a>>, topology: &'a Topology, asn: Asn) -> Self {
+        nodes.get(&asn).copied().unwrap_or_else(|| Node::unlisted(topology, asn))
+    }
+
+    /// How this AS relates to `neighbor`; the first entry wins, exactly
+    /// like [`Topology::rel_between`].
+    fn rel_to(&self, neighbor: Asn) -> Option<Relationship> {
+        let i = self.neighbors.partition_point(|(asn, _)| *asn < neighbor);
+        match self.neighbors.get(i) {
+            Some((asn, rel)) if *asn == neighbor => Some(*rel),
+            _ => None,
+        }
+    }
+}
+
 /// The simulator.
 pub struct BgpSimulator<'a> {
     topology: &'a Topology,
     origin_index: OriginIndex,
     deployment: CollectorDeployment,
-    behaviors: HashMap<Asn, SessionBehavior>,
-    state: HashMap<Asn, HashMap<Ipv4Prefix, PrefixState>>,
+    /// Per-AS node table: neighbors, offering, route-server IXP and
+    /// session behavior.
+    nodes: FxHashMap<Asn, Node<'a>>,
+    state: FxHashMap<Asn, FxHashMap<Ipv4Prefix, PrefixState>>,
     /// Which neighbors each (origin, prefix) was directly sent to, with
     /// the sent route (for withdraws and scope changes).
-    origin_adverts: HashMap<(Asn, Ipv4Prefix), BTreeMap<Asn, RouteEntry>>,
-    emitted: HashMap<EmitKey, (AsPath, CommunitySet)>,
+    origin_adverts: FxHashMap<(Asn, Ipv4Prefix), BTreeMap<Asn, RouteEntry>>,
+    emitted: FxHashMap<EmitKey, (AsPath, CommunitySet)>,
     elems: Vec<BgpElem>,
     bogons: BogonFilter,
     /// Compiled per-AS policy extensions; `None` (the default, and the
@@ -237,9 +279,6 @@ pub struct BgpSimulator<'a> {
     /// run (or injected via [`BgpSimulator::set_propagation_ranks`] so
     /// benchmarks amortize the computation across simulator instances).
     ranks: Option<Arc<PropagationRanks>>,
-    /// route-server ASN → index into `topology.ixps()` (replaces the
-    /// linear `ixp_by_route_server` scan on the hot path).
-    rs_index: HashMap<Asn, usize>,
     /// (AS, prefix) pairs whose visible state may have changed since the
     /// last flush. Emissions are reconstructed from final state at
     /// flush time, which is what makes both engines emit identically.
@@ -253,33 +292,40 @@ impl<'a> BgpSimulator<'a> {
     /// (host-route acceptance) only.
     pub fn new(topology: &'a Topology, deployment: CollectorDeployment, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut behaviors = HashMap::new();
+        let mut nodes = FxHashMap::default();
         for info in topology.ases() {
-            behaviors.insert(
+            let behavior = SessionBehavior {
+                host_routes_from_customers: rng.gen_bool(0.9),
+                host_routes_from_peers: rng.gen_bool(0.25),
+            };
+            nodes.insert(
                 info.asn,
-                SessionBehavior {
-                    host_routes_from_customers: rng.gen_bool(0.9),
-                    host_routes_from_peers: rng.gen_bool(0.25),
+                Node {
+                    neighbors: topology.neighbors(info.asn),
+                    offering: info.blackhole_offering.as_ref(),
+                    ixp: None,
+                    behavior,
                 },
             );
         }
-        let rs_index =
-            topology.ixps().iter().enumerate().map(|(i, ixp)| (ixp.route_server_asn, i)).collect();
+        for ixp in topology.ixps() {
+            let asn = ixp.route_server_asn;
+            nodes.entry(asn).or_insert_with(|| Node::unlisted(topology, asn)).ixp = Some(ixp);
+        }
         BgpSimulator {
             topology,
             origin_index: topology.origin_index(),
             deployment,
-            behaviors,
-            state: HashMap::new(),
-            origin_adverts: HashMap::new(),
-            emitted: HashMap::new(),
+            nodes,
+            state: FxHashMap::default(),
+            origin_adverts: FxHashMap::default(),
+            emitted: FxHashMap::default(),
             elems: Vec::new(),
             bogons: BogonFilter::new(),
             policies: None,
             stats: RunStats::default(),
             mode: EngineMode::Queue,
             ranks: None,
-            rs_index,
             dirty: BTreeSet::new(),
             scratch_neighbors: Vec::new(),
         }
@@ -336,12 +382,13 @@ impl<'a> BgpSimulator<'a> {
     /// specific router configurations, e.g. members that do or do not
     /// accept /32s).
     pub fn set_behavior(&mut self, asn: Asn, behavior: SessionBehavior) {
-        self.behaviors.insert(asn, behavior);
+        let topology = self.topology;
+        self.nodes.entry(asn).or_insert_with(|| Node::unlisted(topology, asn)).behavior = behavior;
     }
 
     /// The session behavior of an AS.
     pub fn behavior(&self, asn: Asn) -> SessionBehavior {
-        self.behaviors.get(&asn).copied().unwrap_or_default()
+        self.nodes.get(&asn).map_or_else(SessionBehavior::default, |n| n.behavior)
     }
 
     /// Drain the accumulated collector elements (time-ordered as emitted).
@@ -531,9 +578,8 @@ impl<'a> BgpSimulator<'a> {
         let ctx = SimCtx {
             topology: self.topology,
             origin_index: &self.origin_index,
-            behaviors: &self.behaviors,
+            nodes: &self.nodes,
             policies: self.policies.as_ref(),
-            rs_index: &self.rs_index,
         };
         let cap = (self.topology.as_count() as u64 + 10) * 10_000;
         let mut steps: u64 = 0;
@@ -547,6 +593,7 @@ impl<'a> BgpSimulator<'a> {
             let me = work.target();
             let mut node = NodeState {
                 me,
+                info: ctx.node(me),
                 prefixes: self.state.entry(me).or_default(),
                 out: &mut generated,
                 stats: &mut self.stats,
@@ -586,7 +633,7 @@ impl<'a> BgpSimulator<'a> {
         let mut down: Vec<Vec<Work>> = vec![Vec::new(); max_rank + 1];
         let cap = (self.topology.as_count() as u64 + 10) * 10_000;
         let mut steps: u64 = 0;
-        classify_works(self.topology, &ranks, seeds, &mut up, &mut across, &mut down);
+        self.classify_works(&ranks, seeds, &mut up, &mut across, &mut down);
         loop {
             let mut progressed = false;
             // Phase 1: up. Routes climbing to providers, lowest rank
@@ -600,7 +647,7 @@ impl<'a> BgpSimulator<'a> {
                         return Err(PropagationError::NoConvergence { steps });
                     }
                     let out = self.process_group(works, outcome);
-                    classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
+                    self.classify_works(&ranks, out, &mut up, &mut across, &mut down);
                 }
             }
             // Phase 2: across. Peer and route-server redistribution, in
@@ -613,7 +660,7 @@ impl<'a> BgpSimulator<'a> {
                     return Err(PropagationError::NoConvergence { steps });
                 }
                 let out = self.process_group(works, outcome);
-                classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
+                self.classify_works(&ranks, out, &mut up, &mut across, &mut down);
             }
             // Phase 3: down. Routes descending to customers, highest
             // rank first; lower-rank work joins this sweep.
@@ -626,11 +673,39 @@ impl<'a> BgpSimulator<'a> {
                         return Err(PropagationError::NoConvergence { steps });
                     }
                     let out = self.process_group(works, outcome);
-                    classify_works(self.topology, &ranks, out, &mut up, &mut across, &mut down);
+                    self.classify_works(&ranks, out, &mut up, &mut across, &mut down);
                 }
             }
             if !progressed {
                 return Ok(());
+            }
+        }
+    }
+
+    /// Sort generated work into the three valley-free phases by the role of
+    /// the *sender* as seen from the receiver: a route arriving from a
+    /// customer is climbing (up), one from a provider is descending (down),
+    /// and anything else — peers, route servers, unknown senders — is
+    /// lateral.
+    fn classify_works(
+        &self,
+        ranks: &PropagationRanks,
+        works: Vec<Work>,
+        up: &mut [Vec<Work>],
+        across: &mut Vec<Work>,
+        down: &mut [Vec<Work>],
+    ) {
+        for work in works {
+            match Node::lookup(&self.nodes, self.topology, work.target()).rel_to(work.source()) {
+                Some(Relationship::Customer) => {
+                    let r = ranks.rank_of(work.target()).unwrap_or(0) as usize;
+                    up[r.min(up.len() - 1)].push(work);
+                }
+                Some(Relationship::Provider) => {
+                    let r = ranks.rank_of(work.target()).unwrap_or(0) as usize;
+                    down[r.min(down.len() - 1)].push(work);
+                }
+                _ => across.push(work),
             }
         }
     }
@@ -648,14 +723,14 @@ impl<'a> BgpSimulator<'a> {
         let ctx = SimCtx {
             topology: self.topology,
             origin_index: &self.origin_index,
-            behaviors: &self.behaviors,
+            nodes: &self.nodes,
             policies: self.policies.as_ref(),
-            rs_index: &self.rs_index,
         };
         let mut generated: Vec<Work> = Vec::new();
         for (me, works) in by_target {
             let mut node = NodeState {
                 me,
+                info: ctx.node(me),
                 prefixes: self.state.entry(me).or_default(),
                 out: &mut generated,
                 stats: &mut self.stats,
@@ -679,15 +754,13 @@ impl<'a> BgpSimulator<'a> {
         if self.dirty.is_empty() {
             return;
         }
-        let topology = self.topology;
         let dirty = std::mem::take(&mut self.dirty);
         for &(me, prefix) in &dirty {
             let ps = self.state.get(&me).and_then(|m| m.get(&prefix));
-            if let Some(&idx) = self.rs_index.get(&me) {
+            if let Some(ixp) = self.nodes.get(&me).and_then(|n| n.ixp) {
                 // Route-server node: refresh the PCH per-member views,
                 // attributing each route to the member that sent it,
                 // with its peering-LAN address.
-                let ixp = &topology.ixps()[idx];
                 for session in self.deployment.sessions_at(me) {
                     if !matches!(session.feed, FeedKind::RouteServerView(_)) {
                         continue;
@@ -797,56 +870,28 @@ impl<'a> BgpSimulator<'a> {
 struct SimCtx<'a> {
     topology: &'a Topology,
     origin_index: &'a OriginIndex,
-    behaviors: &'a HashMap<Asn, SessionBehavior>,
+    nodes: &'a FxHashMap<Asn, Node<'a>>,
     policies: Option<&'a PolicyEngine>,
-    /// route-server ASN → index into `topology.ixps()`.
-    rs_index: &'a HashMap<Asn, usize>,
 }
 
-impl SimCtx<'_> {
-    fn ixp_of(&self, asn: Asn) -> Option<&Ixp> {
-        self.rs_index.get(&asn).map(|&i| &self.topology.ixps()[i])
+impl<'a> SimCtx<'a> {
+    fn node(&self, asn: Asn) -> Node<'a> {
+        Node::lookup(self.nodes, self.topology, asn)
     }
 }
 
-/// Mutable state of the one AS a work item targets. Processing a work
-/// item touches nothing outside this view — that isolation is what
-/// makes the phased engine's within-rank order irrelevant to the result.
+/// Mutable state of the one AS a work item targets, plus its node-table
+/// entry. Processing a work item touches nothing outside this view —
+/// that isolation is what makes the phased engine's within-rank order
+/// irrelevant to the result.
 struct NodeState<'a> {
     me: Asn,
-    prefixes: &'a mut HashMap<Ipv4Prefix, PrefixState>,
+    info: Node<'a>,
+    prefixes: &'a mut FxHashMap<Ipv4Prefix, PrefixState>,
     out: &'a mut Vec<Work>,
     stats: &'a mut RunStats,
     outcome: &'a mut AnnounceOutcome,
     dirty: &'a mut BTreeSet<(Asn, Ipv4Prefix)>,
-}
-
-/// Sort generated work into the three valley-free phases by the role of
-/// the *sender* as seen from the receiver: a route arriving from a
-/// customer is climbing (up), one from a provider is descending (down),
-/// and anything else — peers, route servers, unknown senders — is
-/// lateral.
-fn classify_works(
-    topology: &Topology,
-    ranks: &PropagationRanks,
-    works: Vec<Work>,
-    up: &mut [Vec<Work>],
-    across: &mut Vec<Work>,
-    down: &mut [Vec<Work>],
-) {
-    for work in works {
-        match topology.rel_between(work.target(), work.source()) {
-            Some(Relationship::Customer) => {
-                let r = ranks.rank_of(work.target()).unwrap_or(0) as usize;
-                up[r.min(up.len() - 1)].push(work);
-            }
-            Some(Relationship::Provider) => {
-                let r = ranks.rank_of(work.target()).unwrap_or(0) as usize;
-                down[r.min(down.len() - 1)].push(work);
-            }
-            _ => across.push(work),
-        }
-    }
 }
 
 fn process_work(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, work: Work) {
@@ -873,13 +918,13 @@ fn process_announce(
         // Loop prevention is treat-as-withdraw: any previously held
         // candidate from this neighbor is gone, which keeps the
         // converged state independent of delivery order.
-        match ctx.ixp_of(me) {
-            Some(ixp) => rs_remove_candidate(ctx, node, ixp, from, prefix),
+        match node.info.ixp {
+            Some(ixp) => rs_remove_candidate(node, ixp, from, prefix),
             None => remove_candidate(ctx, node, from, prefix),
         }
         return;
     }
-    let Some(rel) = ctx.topology.rel_between(me, from) else {
+    let Some(rel) = node.info.rel_to(from) else {
         return; // targeted announce to a non-neighbor: silently dropped
     };
 
@@ -887,7 +932,7 @@ fn process_announce(
     // extensions deliberately do not hook route servers: they are
     // transparent redistribution points, not policy actors, and PCH
     // visibility depends on that transparency.
-    if let Some(ixp) = ctx.ixp_of(me) {
+    if let Some(ixp) = node.info.ixp {
         process_at_route_server(ctx, node, ixp, from, prefix, route);
         return;
     }
@@ -915,17 +960,20 @@ fn process_announce(
         }
     }
 
-    let behavior = ctx.behaviors.get(&me).copied().unwrap_or_default();
-    let origin = route.as_path.origin().unwrap_or(from);
-    let auth_ctx = AuthContext {
-        topology: ctx.topology,
-        origin,
-        sender: from,
-        allocation_owner: ctx.origin_index.origin_of(&prefix),
-        irr_registered: route.irr_registered,
-    };
-    let import =
-        import_decision(me, rel, &prefix, &route.communities, behavior, ctx.topology, &auth_ctx);
+    let import = import_decision(
+        node.info.offering,
+        rel,
+        &prefix,
+        &route.communities,
+        node.info.behavior,
+        || AuthContext {
+            topology: ctx.topology,
+            origin: route.as_path.origin().unwrap_or(from),
+            sender: from,
+            allocation_owner: ctx.origin_index.origin_of(&prefix),
+            irr_registered: route.irr_registered,
+        },
+    );
     // Record trigger-specific rejections for ground truth even when
     // the route is otherwise accepted as a plain route.
     if let Some(reason) = import.trigger_rejection {
@@ -981,8 +1029,8 @@ fn remove_candidate(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, from: Asn, prefi
 }
 
 fn process_withdraw(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, from: Asn, prefix: Ipv4Prefix) {
-    match ctx.ixp_of(node.me) {
-        Some(ixp) => rs_remove_candidate(ctx, node, ixp, from, prefix),
+    match node.info.ixp {
+        Some(ixp) => rs_remove_candidate(node, ixp, from, prefix),
         None => remove_candidate(ctx, node, from, prefix),
     }
 }
@@ -992,8 +1040,7 @@ fn process_withdraw(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, from: Asn, prefi
 fn after_change(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, prefix: Ipv4Prefix) {
     let me = node.me;
     node.dirty.insert((me, prefix));
-    let topology = ctx.topology;
-    let offering = topology.as_info(me).and_then(|i| i.blackhole_offering.as_ref());
+    let offering = node.info.offering;
     let Some(ps) = node.prefixes.get_mut(&prefix) else {
         return;
     };
@@ -1001,16 +1048,24 @@ fn after_change(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, prefix: Ipv4Prefix) 
     if ps.advert_basis == best {
         return; // adverts are a pure function of best: nothing to redo
     }
+    // The advert every neighbor receives unless suppressed: `me`
+    // prepended once, so all adverts share one path allocation, and a
+    // stripping provider's trigger removed.
+    let exported = best.as_ref().map(|best| {
+        let mut out = best.clone();
+        out.as_path.prepend(me, 1);
+        strip_own_trigger(best, offering, &mut out.communities);
+        out
+    });
 
     // Determine the outbound advertisement per neighbor.
-    for &(n, to_rel) in topology.neighbors(me) {
+    for &(n, to_rel) in node.info.neighbors {
         // Each `None` arm mirrors one distinct suppression rule of the
         // paper; keeping them separate (with their comments) documents
         // the policy even though the bodies coincide.
         #[allow(clippy::if_same_then_else)]
-        let advert: Option<RouteEntry> = match &best {
-            None => None,
-            Some(best) => {
+        let advert: Option<RouteEntry> = match (&best, &exported) {
+            (Some(best), Some(exported)) => {
                 if n == best.learned_from {
                     None // never advertise back to the sender
                 } else if best.communities.has_no_export() {
@@ -1024,12 +1079,15 @@ fn after_change(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, prefix: Ipv4Prefix) 
                     // never overridable — NO_EXPORT and RFC 7999
                     // compliance hold even at a leaker.
                     let default_allowed = may_export(Some(best.learned_rel), to_rel);
-                    let decided = match ctx.policies {
-                        None => default_allowed.then(|| best.clone()),
+                    match ctx.policies {
+                        None => default_allowed.then(|| exported.clone()),
                         Some(engine) => {
-                            let mut out = best.clone();
+                            // The hooks edit the communities as held
+                            // (before the trigger strip), per neighbor.
+                            let mut out = exported.clone();
+                            out.communities = best.communities.clone();
                             let allowed = engine.export(
-                                topology,
+                                ctx.topology,
                                 node.stats,
                                 me,
                                 n,
@@ -1041,25 +1099,15 @@ fn after_change(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, prefix: Ipv4Prefix) 
                                 &mut out.leak_marked,
                                 default_allowed,
                             );
-                            allowed.then_some(out)
-                        }
-                    };
-                    match decided {
-                        None => None, // valley-free (or policy) suppression
-                        Some(mut out) => {
-                            out.as_path.prepend(me, 1);
-                            if best.is_blackhole {
-                                if let Some(o) = offering {
-                                    if o.strips_community {
-                                        out.communities.retain(|c| !o.is_trigger(*c));
-                                    }
-                                }
-                            }
-                            Some(out)
+                            allowed.then(|| {
+                                strip_own_trigger(best, offering, &mut out.communities);
+                                out
+                            })
                         }
                     }
                 }
             }
+            _ => None,
         };
 
         let unchanged = match (&advert, ps.advertised.get(&n)) {
@@ -1084,11 +1132,23 @@ fn after_change(ctx: &SimCtx<'_>, node: &mut NodeState<'_>, prefix: Ipv4Prefix) 
     ps.advert_basis = best;
 }
 
+/// A provider that strips its trigger community removes it from the
+/// blackhole routes it re-exports.
+fn strip_own_trigger(
+    best: &RouteEntry,
+    offering: Option<&BlackholeOffering>,
+    communities: &mut CommunitySet,
+) {
+    if let Some(o) = offering.filter(|o| best.is_blackhole && o.strips_community) {
+        communities.retain(|c| !o.is_trigger(*c));
+    }
+}
+
 /// Compare with the session's previously emitted state; emit announce
 /// or withdraw elems as needed.
 #[allow(clippy::too_many_arguments)] // flat emission context, called from one place per feed kind
 fn emit_diff(
-    emitted: &mut HashMap<EmitKey, (AsPath, CommunitySet)>,
+    emitted: &mut FxHashMap<EmitKey, (AsPath, CommunitySet)>,
     elems: &mut Vec<BgpElem>,
     time: SimTime,
     key: EmitKey,
@@ -1154,7 +1214,7 @@ fn process_at_route_server(
     if !ixp.has_member(from) {
         return; // only members speak to the route server
     }
-    let offering = ctx.topology.as_info(me).and_then(|i| i.blackhole_offering.as_ref());
+    let offering = node.info.offering;
 
     // Import filter at the route server.
     let triggered = offering.is_some_and(|o| {
@@ -1167,7 +1227,7 @@ fn process_at_route_server(
             if !node.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
                 node.outcome.rejected_by.push((me, RejectReason::LengthRejected));
             }
-            rs_remove_candidate(ctx, node, ixp, from, prefix);
+            rs_remove_candidate(node, ixp, from, prefix);
             return;
         }
         // Route servers filter on IRR registration: misconfigured
@@ -1184,7 +1244,7 @@ fn process_at_route_server(
             if !node.outcome.rejected_by.iter().any(|(a, _)| *a == me) {
                 node.outcome.rejected_by.push((me, RejectReason::AuthFailed));
             }
-            rs_remove_candidate(ctx, node, ixp, from, prefix);
+            rs_remove_candidate(node, ixp, from, prefix);
             return;
         }
         route.is_blackhole = true;
@@ -1194,7 +1254,7 @@ fn process_at_route_server(
         }
     } else if prefix.is_more_specific_than(24) {
         // Untagged host routes are not redistributed by route servers.
-        rs_remove_candidate(ctx, node, ixp, from, prefix);
+        rs_remove_candidate(node, ixp, from, prefix);
         return;
     }
     route.learned_rel = Relationship::RouteServer;
@@ -1209,13 +1269,7 @@ fn process_at_route_server(
     rs_redistribute(node, ixp, prefix);
 }
 
-fn rs_remove_candidate(
-    _ctx: &SimCtx<'_>,
-    node: &mut NodeState<'_>,
-    ixp: &Ixp,
-    from: Asn,
-    prefix: Ipv4Prefix,
-) {
+fn rs_remove_candidate(node: &mut NodeState<'_>, ixp: &Ixp, from: Asn, prefix: Ipv4Prefix) {
     let Some(ps) = node.prefixes.get_mut(&prefix) else {
         return;
     };
